@@ -29,7 +29,6 @@ from .preprocess import (
 from .metrics import (
     CriteriaWeights,
     RuleMetrics,
-    ScanPool,
     SupportResult,
     UNIT_WEIGHTS,
     compute_metrics,
@@ -70,7 +69,6 @@ __all__ = [
     "Rule",
     "RuleMetrics",
     "RuleSet",
-    "ScanPool",
     "SetRecord",
     "SupportResult",
     "UNIT_WEIGHTS",

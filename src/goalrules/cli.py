@@ -18,6 +18,7 @@ from .errors import ConfigError, DataError
 from .metrics import CriteriaWeights
 from .preprocess import (
     PartitionedDatabase,
+    catalog_to_list,
     database_to_dict,
     decode,
     preprocess_csv,
@@ -90,8 +91,9 @@ def _add_mining_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--neg-corr", type=float, default=-0.35)
     parser.add_argument("--weights", default=None, help="four comma-separated criteria weights")
     parser.add_argument("--max-premise-len", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0, help="recorded only; mining is deterministic")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; mining is sequential"
+    )
 
 
 def _rule_json(rule: Rule, pdb: PartitionedDatabase) -> dict:
@@ -171,7 +173,7 @@ def mining_output_json(
     return {
         "config": _config_dict(config),
         "goals": list(pdb.goal_labels),
-        "catalog": database_to_dict(pdb)["catalog"],
+        "catalog": catalog_to_list(pdb.catalog),
         "rules": [
             _rule_json(rule, pdb)
             for rule in ruleset.all_positive() + ruleset.all_negative()

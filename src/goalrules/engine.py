@@ -12,13 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .errors import ConfigError
-from .metrics import (
-    CriteriaWeights,
-    RuleMetrics,
-    ScanPool,
-    compute_metrics,
-    support,
-)
+from .metrics import CriteriaWeights, RuleMetrics, SupportResult, compute_metrics, support
 
 
 @dataclass(frozen=True)
@@ -104,18 +98,24 @@ def _is_final(premise: int, metrics: RuleMetrics, candidates: Sequence[Rule], co
     return not candidates or candidates[-1].premise <= premise
 
 
-def create_candidates(pdb, config: MiningConfig, pool: ScanPool | None = None) -> list[list[Rule]]:
+def _single_supports(pdb) -> list[tuple[int, SupportResult]]:
+    """(code, support) of every property that occurs in some record."""
+    singles = []
+    for i in range(len(pdb.catalog)):
+        result = support(1 << i, pdb)
+        if result.total > 0:
+            singles.append((1 << i, result))
+    return singles
+
+
+def create_candidates(pdb, config: MiningConfig) -> list[list[Rule]]:
     """Single-property rules whose correlation exceeds ``min_corr``, per goal.
 
     Goals with an empty partition — or holding every record — get no
     candidates; correlation carries no signal there.
     """
     total = pdb.total
-    singles = []
-    for i in range(len(pdb.catalog)):
-        result = support(1 << i, pdb, pool)
-        if result.total > 0:
-            singles.append((1 << i, result))
+    singles = _single_supports(pdb)
     out: list[list[Rule]] = []
     for goal, n_k in enumerate(pdb.partition_sizes):
         rules: list[Rule] = []
@@ -153,7 +153,6 @@ def expand(
     config: MiningConfig,
     *,
     candidates: Sequence[Rule],
-    pool: ScanPool | None = None,
 ) -> Rule | None:
     """Grow a premise by one eligible candidate property.
 
@@ -165,7 +164,7 @@ def expand(
     if candidate.premise <= rule.premise:
         raise ValueError("candidate property must sit above the premise's top bit")
     premise = rule.premise + candidate.premise  # disjoint bits
-    result = support(premise, pdb, pool)
+    result = support(premise, pdb)
     if result.total == 0:
         return None
     metrics = compute_metrics(
@@ -188,85 +187,78 @@ def expand(
     )
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ConfigError("thread count must be >= 1")
+
+
 def mine(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> RuleSet:
     """Mine positive rules for every goal class.
 
     Level-synchronous search: each round expands every non-final rule by
     every eligible candidate, keeps the survivors sorted by premise code,
     and stops when a round adds nothing or the premise length cap is hit.
-    Results are identical for any ``threads`` value.
+    ``threads`` is accepted for compatibility and must be >= 1; the search
+    runs sequentially, so results are identical for any value.
     """
+    _check_threads(threads)
     if config is None:
         config = MiningConfig()
-    pool = ScanPool(threads) if threads > 1 else None
-    try:
-        candidates = create_candidates(pdb, config, pool)
-        per_goal = [list(group) for group in candidates]
-        current = candidates
-        length = 1
-        while any(current) and (config.max_premise_len is None or length < config.max_premise_len):
-            grown: list[list[Rule]] = [[] for _ in candidates]
-            for goal, rules in enumerate(current):
-                group = candidates[goal]
-                for rule in rules:
-                    if rule.final:
-                        continue
-                    for candidate in eligible_candidates(rule, group):
-                        child = expand(
-                            rule, candidate, pdb, config, candidates=group, pool=pool
-                        )
-                        if child is not None:
-                            grown[goal].append(child)
-            if not any(grown):
-                break
-            for goal, rules in enumerate(grown):
-                rules.sort(key=lambda r: r.premise)
-                per_goal[goal].extend(rules)
-            current = grown
-            length += 1
-    finally:
-        if pool is not None:
-            pool.close()
+    candidates = create_candidates(pdb, config)
+    per_goal = [list(group) for group in candidates]
+    current = candidates
+    length = 1
+    while any(current) and (config.max_premise_len is None or length < config.max_premise_len):
+        grown: list[list[Rule]] = [[] for _ in candidates]
+        for goal, rules in enumerate(current):
+            group = candidates[goal]
+            for rule in rules:
+                if rule.final:
+                    continue
+                for candidate in eligible_candidates(rule, group):
+                    child = expand(rule, candidate, pdb, config, candidates=group)
+                    if child is not None:
+                        grown[goal].append(child)
+        if not any(grown):
+            break
+        for goal, rules in enumerate(grown):
+            rules.sort(key=lambda r: r.premise)
+            per_goal[goal].extend(rules)
+        current = grown
+        length += 1
     empty = tuple(() for _ in per_goal)
     return RuleSet(tuple(tuple(rules) for rules in per_goal), empty)
 
 
 def mine_negative(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> list[list[Rule]]:
     """Single-property rules arguing against a goal: correlation at or below
-    ``neg_corr``. These are terminal; longer premises only lose support."""
+    ``neg_corr``. These are terminal; longer premises only lose support.
+    ``threads`` is a sequential alias, as in ``mine``."""
+    _check_threads(threads)
     if config is None:
         config = MiningConfig()
-    pool = ScanPool(threads) if threads > 1 else None
-    try:
-        total = pdb.total
-        singles = []
-        for i in range(len(pdb.catalog)):
-            result = support(1 << i, pdb, pool)
-            if result.total > 0:
-                singles.append((1 << i, result))
-        out: list[list[Rule]] = []
-        for goal, n_k in enumerate(pdb.partition_sizes):
-            rules: list[Rule] = []
-            if 0 < n_k < total:
-                for code, result in singles:
-                    metrics = compute_metrics(
-                        result.per_goal[goal], result.total, n_k, total, config.weights
-                    )
-                    if metrics.correlation <= config.neg_corr:
-                        rules.append(
-                            Rule(
-                                code,
-                                1,
-                                goal,
-                                result.per_goal[goal],
-                                result.total,
-                                metrics,
-                                final=True,
-                                negative=True,
-                            )
+    total = pdb.total
+    singles = _single_supports(pdb)
+    out: list[list[Rule]] = []
+    for goal, n_k in enumerate(pdb.partition_sizes):
+        rules: list[Rule] = []
+        if 0 < n_k < total:
+            for code, result in singles:
+                metrics = compute_metrics(
+                    result.per_goal[goal], result.total, n_k, total, config.weights
+                )
+                if metrics.correlation <= config.neg_corr:
+                    rules.append(
+                        Rule(
+                            code,
+                            1,
+                            goal,
+                            result.per_goal[goal],
+                            result.total,
+                            metrics,
+                            final=True,
+                            negative=True,
                         )
-            out.append(rules)
-        return out
-    finally:
-        if pool is not None:
-            pool.close()
+                    )
+        out.append(rules)
+    return out

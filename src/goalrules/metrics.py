@@ -1,21 +1,20 @@
 """Support counting over goal partitions and the rule quality criteria.
 
+Support is vertical: each goal keeps one bitmap per property
+(``PartitionedDatabase.bitmaps``), and a premise's count in that goal is
+the popcount of the AND of its properties' bitmaps. Its cost depends on
+the premise length and the record count, not on the catalog width.
+
 All criteria are derived from exact integer counts in one place, so every
 caller — miner, oracle, CLI — sees bit-identical floats for the same counts.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import ConfigError
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None
+from .preprocess import set_bits
 
 
 @dataclass(frozen=True)
@@ -62,82 +61,26 @@ class RuleMetrics:
     quality: float
 
 
-# streaming block for the array kernel: keeps the working set cache-resident
-# so per-record cost stays flat from thousands to millions of records
-_BLOCK = 65536
-
-
-def _count(premise: int, records) -> int:
-    """Records whose bit set contains the premise. Exact integer count on
-    both representations, so the two paths are interchangeable."""
-    if _np is not None and isinstance(records, _np.ndarray):
-        n = records.shape[0]
-        if n <= _BLOCK:
-            return int(_np.count_nonzero((records & premise) == premise))
-        masked = _np.empty(_BLOCK, dtype=records.dtype)
-        hits = _np.empty(_BLOCK, dtype=_np.bool_)
-        total = 0
-        for start in range(0, n, _BLOCK):
-            view = records[start : start + _BLOCK]
-            k = view.shape[0]
-            _np.bitwise_and(view, premise, out=masked[:k])
-            _np.equal(masked[:k], premise, out=hits[:k])
-            total += int(_np.count_nonzero(hits[:k]))
-        return total
-    x = premise
-    return sum((x & r) == x for r in records)
-
-
-class ScanPool:
-    """Splits partition scans across worker threads.
-
-    Chunk counts are exact integers reduced in submission order, so results
-    are identical for any worker count. CPython's interpreter lock serializes
-    the pure-Python inner loop; the pool expresses the partition-parallel
-    structure and only pays off on runtimes without that lock.
-    """
-
-    def __init__(self, threads: int, chunk_size: int = 100_000):
-        if threads < 1:
-            raise ConfigError("thread count must be >= 1")
-        if chunk_size < 1:
-            raise ConfigError("chunk size must be >= 1")
-        self.threads = threads
-        self.chunk_size = chunk_size
-        self._executor = ThreadPoolExecutor(max_workers=threads)
-
-    def count(self, premise: int, partitions: Sequence[Sequence[int]]) -> tuple[int, ...]:
-        futures = []
-        for part in partitions:
-            chunks = []
-            for start in range(0, len(part), self.chunk_size):
-                chunk = part[start : start + self.chunk_size]
-                chunks.append(self._executor.submit(_count, premise, chunk))
-            futures.append(chunks)
-        return tuple(sum(f.result() for f in chunks) for chunks in futures)
-
-    def close(self) -> None:
-        self._executor.shutdown()
-
-    def __enter__(self) -> "ScanPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def support(premise: int, pdb, pool: ScanPool | None = None) -> SupportResult:
+def support(premise: int, pdb) -> SupportResult:
     """Count the records containing every premise bit, per goal partition.
 
-    One scan yields the counts for all goals; the empty premise (0) matches
-    everything and returns the partition sizes.
+    The empty premise (0) matches everything and returns the partition
+    sizes; a bit beyond the catalog matches nothing.
     """
     if premise < 0:
         raise ValueError("premise must be non-negative")
-    partitions = pdb.scan_partitions
-    if pool is not None:
-        return SupportResult(pool.count(premise, partitions))
-    return SupportResult(tuple(_count(premise, part) for part in partitions))
+    if premise == 0:
+        return SupportResult(tuple(pdb.partition_sizes))
+    if premise >> len(pdb.catalog):
+        return SupportResult((0,) * len(pdb.partition_sizes))
+    first, *rest = set_bits(premise)
+    counts = []
+    for maps in pdb.bitmaps:
+        common = maps[first]
+        for i in rest:
+            common &= maps[i]
+        counts.append(common.bit_count())
+    return SupportResult(tuple(counts))
 
 
 def quality(

@@ -2,7 +2,7 @@
 small instances.
 
 Records are explicit property-index sets and support is subset counting,
-so nothing here touches the engine's integer scan kernels. Shared with the
+so nothing here touches the engine's bitmap support kernel. Shared with the
 engine is only the closed-form criteria arithmetic.
 """
 

@@ -12,7 +12,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from math import isfinite
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -23,8 +23,8 @@ try:
 except ImportError:  # pragma: no cover - numpy is an optional accelerator
     _np = None
 
-# codes with bits 0..62 fit a signed 64-bit word
-MACHINE_WORD_BITS = 63
+_LIMB_BITS = 64
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 TARGET = "target"
 CONTINUOUS = "continuous"
@@ -330,22 +330,57 @@ class PartitionedDatabase:
 
     @cached_property
     def partitions(self) -> tuple[tuple[int, ...], ...]:
-        """Per-goal record slices, materialized once for scan loops."""
+        """Per-goal record slices."""
         return tuple(
             self.records[start : start + size]
             for start, size in zip(self.partition_starts, self.partition_sizes)
         )
 
     @cached_property
-    def scan_partitions(self) -> tuple:
-        """Partition views tuned for the scan kernel: int64 arrays when every
-        code fits a machine word, otherwise the unbounded-int tuples."""
-        if _np is not None and len(self.catalog) <= MACHINE_WORD_BITS:
-            return tuple(
-                _np.fromiter(part, dtype=_np.int64, count=len(part))
-                for part in self.partitions
-            )
-        return self.partitions
+    def bitmaps(self) -> tuple[tuple[int, ...], ...]:
+        """Vertical layout: ``bitmaps[k][i]`` has bit j set when record j of
+        goal k has property i. Built on first use, from ``records`` directly."""
+        build = _bitmaps_numpy if _np is not None else _bitmaps_pure
+        m = len(self.catalog)
+        return tuple(
+            build(self.records, start, size, m)
+            for start, size in zip(self.partition_starts, self.partition_sizes)
+        )
+
+
+def set_bits(code: int) -> Iterator[int]:
+    """Indices of the set bits of a non-negative code, ascending."""
+    while code:
+        low = code & -code
+        yield low.bit_length() - 1
+        code ^= low
+
+
+def _bitmaps_numpy(records, start: int, size: int, m: int) -> tuple[int, ...]:
+    """One goal's property bitmaps, one 64-bit limb of the codes at a time.
+    Bit b of a little-endian word sits in its byte b // 8, so each property
+    is a strided byte view, masked and packed; no rows x properties matrix."""
+    out = []
+    for base in range(0, m, _LIMB_BITS):
+        part = islice(records, start, start + size)
+        if m > _LIMB_BITS:
+            part = ((code >> base) & _LIMB_MASK for code in part)
+        limb = _np.fromiter(part, dtype="<u8", count=size).view(_np.uint8)
+        for bit in range(min(_LIMB_BITS, m - base)):
+            packed = _np.packbits(limb[bit >> 3 :: 8] & (1 << (bit & 7)), bitorder="little")
+            out.append(int.from_bytes(packed.tobytes(), "little"))
+    return tuple(out)
+
+
+def _bitmaps_pure(records, start: int, size: int, m: int) -> tuple[int, ...]:
+    """Same result as ``_bitmaps_numpy``, set bit by set bit."""
+    columns = [bytearray((size + 7) // 8) for _ in range(m)]
+    in_catalog = (1 << m) - 1
+    for j, code in enumerate(islice(records, start, start + size)):
+        byte, mask = j >> 3, 1 << (j & 7)
+        for i in set_bits(code & in_catalog):
+            columns[i][byte] |= mask
+    return tuple(int.from_bytes(column, "little") for column in columns)
 
 
 def preprocess(
@@ -410,7 +445,21 @@ def decode(code: int, catalog: PropertyCatalog) -> list[str]:
     """Property names of the set bits, in catalog order."""
     if code < 0 or code >> len(catalog):
         raise DataError(f"code out of catalog range: {code}")
-    return [p.name for p in catalog.properties if (code >> p.index) & 1]
+    return [catalog.properties[i].name for i in set_bits(code)]
+
+
+def catalog_to_list(catalog: PropertyCatalog) -> list[dict]:
+    """JSON-ready catalog, one object per property in bit order."""
+    return [
+        {
+            "index": p.index,
+            "name": p.name,
+            "column": p.column,
+            "category": p.category,
+            "full_name": p.full_name,
+        }
+        for p in catalog
+    ]
 
 
 def database_to_dict(pdb: PartitionedDatabase) -> dict:
@@ -418,16 +467,7 @@ def database_to_dict(pdb: PartitionedDatabase) -> dict:
     return {
         "goal_labels": list(pdb.goal_labels),
         "partition_sizes": list(pdb.partition_sizes),
-        "catalog": [
-            {
-                "index": p.index,
-                "name": p.name,
-                "column": p.column,
-                "category": p.category,
-                "full_name": p.full_name,
-            }
-            for p in pdb.catalog
-        ],
+        "catalog": catalog_to_list(pdb.catalog),
         "records": [str(r) for r in pdb.records],
     }
 

@@ -58,10 +58,14 @@ def assert_rulesets_equal(left: RuleSet, right: RuleSet, tol: float = 0.0) -> No
                         assert abs(av - bv) <= tol, (field, av, bv)
 
 
+def brute_support(premise: int, pdb) -> tuple[int, ...]:
+    """Per-goal support by testing every record code: the reference count."""
+    return tuple(sum((code & premise) == premise for code in part) for part in pdb.partitions)
+
+
 @pytest.fixture
 def pure_scan(monkeypatch):
-    """Force the unbounded-int scan path even when numpy is installed."""
+    """Force the pure-Python bitmap builder even when numpy is installed."""
     import sys
 
-    monkeypatch.setattr(sys.modules["goalrules.metrics"], "_np", None)
     monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_np", None)

@@ -199,6 +199,17 @@ class TestMineCommand:
         )
         assert json.dumps(one["rules"]) == json.dumps(many["rules"])
 
+    def test_zero_threads_is_config_error(self, table, capsys):
+        db, dbd = table
+        assert main(["mine", "--db", db, "--dbd", dbd, "--threads", "0"]) == 2
+        assert "thread count" in capsys.readouterr().err
+
+    def test_seed_is_not_a_mining_option(self, table):
+        db, dbd = table
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mine", "--db", db, "--dbd", dbd, "--seed", "1"])
+        assert excinfo.value.code == 2
+
 
 class TestBenchCommand:
     def test_reports_and_verifies_invariance(self, table, capsys):

@@ -284,6 +284,14 @@ class TestMine:
             many = mine(pdb, MiningConfig(min_corr=0.2), threads=3)
             assert_rulesets_equal(one, many)
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        pdb = random_pdb(random.Random(3))
+        with pytest.raises(ConfigError, match="thread count"):
+            mine(pdb, threads=threads)
+        with pytest.raises(ConfigError, match="thread count"):
+            mine_negative(pdb, threads=threads)
+
     def test_duplication_preserves_criteria_exactly(self):
         rng = random.Random(41)
         pdb = random_pdb(rng)

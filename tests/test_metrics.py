@@ -7,15 +7,35 @@ from hypothesis import strategies as st
 from goalrules import (
     ConfigError,
     CriteriaWeights,
-    ScanPool,
+    PartitionedDatabase,
     SupportResult,
     UNIT_WEIGHTS,
     compute_metrics,
     quality,
     recommended_min_correlation,
+    replicate,
     support,
 )
-from conftest import build_pdb, random_pdb
+from conftest import brute_support, build_pdb, random_pdb
+
+
+def random_wide_pdb(m: int, seed: int) -> PartitionedDatabase:
+    """Random records over m properties, several bits each, in three goals
+    (the last one empty), so codes straddle the 64-bit limb boundaries."""
+    rng = random.Random(seed)
+    parts = [
+        [rng.randrange(1, 1 << m) | 1 << rng.randrange(m - 3, m) for _ in range(n)]
+        for n in (150, 77, 0)
+    ]
+    return build_pdb(parts, m)
+
+
+def wide_premises(m: int, rng: random.Random) -> list[int]:
+    """The empty premise, bits beyond the catalog, single bits at the limb
+    edges and random premises of 1 to 4 bits."""
+    edges = [1 << i for i in {0, 62, 63, 64, 65, m - 1} if i < m]
+    drawn = [sum(1 << i for i in rng.sample(range(m), rng.randint(1, 4))) for _ in range(60)]
+    return [0, 1 << m, 1 << m | 1] + edges + drawn
 
 
 class TestSupport:
@@ -59,24 +79,28 @@ class TestSupport:
         sup_z = support(z, pdb).per_goal
         assert all(a <= b for a, b in zip(sup_z, sup_x))
 
-    @pytest.mark.parametrize("threads,chunk", [(1, 100_000), (2, 7), (4, 3), (3, 1)])
-    def test_pool_matches_sequential(self, threads, chunk):
-        rng = random.Random(17)
-        pdb = random_pdb(rng, max_part=40)
-        premises = [rng.randrange(0, 1 << len(pdb.catalog)) for _ in range(10)]
-        with ScanPool(threads, chunk_size=chunk) as pool:
-            for premise in premises:
-                assert support(premise, pdb, pool) == support(premise, pdb)
+    @pytest.mark.parametrize("m", [63, 64, 65, 130])
+    def test_support_matches_brute_force(self, m):
+        pdb = random_wide_pdb(m, seed=m)
+        for premise in wide_premises(m, random.Random(m)):
+            assert support(premise, pdb).per_goal == brute_support(premise, pdb), premise
 
-    def test_pool_matches_on_pure_path(self, pure_scan):
-        pdb = build_pdb([[5, 7, 5, 1], [3, 3]], m=3)
-        with ScanPool(3, chunk_size=2) as pool:
-            assert support(5, pdb, pool).per_goal == (3, 0)
+    def test_support_matches_brute_force_on_pure_path(self, pure_scan):
+        pdb = random_wide_pdb(65, seed=5)
+        for premise in wide_premises(65, random.Random(5)):
+            assert support(premise, pdb).per_goal == brute_support(premise, pdb), premise
 
-    @pytest.mark.parametrize("threads,chunk", [(0, 10), (2, 0)])
-    def test_pool_validation(self, threads, chunk):
-        with pytest.raises(ConfigError):
-            ScanPool(threads, chunk_size=chunk)
+    @given(seed=st.integers(0, 10_000), factor=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_random_premises_match_brute_force_and_scale(self, seed, factor):
+        rng = random.Random(seed)
+        pdb = random_pdb(rng)
+        big = replicate(pdb, factor)
+        for _ in range(8):
+            premise = rng.randrange(0, 1 << len(pdb.catalog))
+            counts = support(premise, pdb).per_goal
+            assert counts == brute_support(premise, pdb)
+            assert support(premise, big).per_goal == tuple(c * factor for c in counts)
 
 
 class TestWeights:

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -433,23 +435,34 @@ class TestCsv:
         assert rows == [{"temp": "5", "color": "red", "label": "no"}]
 
 
-class TestScanView:
-    def test_word_sized_catalog_uses_arrays(self):
-        numpy = pytest.importorskip("numpy")
+class TestBitmaps:
+    def test_bit_j_of_goal_k_is_record_j(self):
         pdb = preprocess(TestPreprocess().rows(), make_descriptors())
-        assert all(isinstance(part, numpy.ndarray) for part in pdb.scan_partitions)
-        assert [list(part) for part in pdb.scan_partitions] == [
-            list(part) for part in pdb.partitions
-        ]
+        # goal 0 holds 9 = T0|C0 and 10 = T1|C0; goal 1 holds 20 = T2|C1
+        assert pdb.bitmaps == ((0b01, 0b10, 0, 0b11, 0), (0, 0, 1, 0, 1))
 
-    def test_wide_catalog_falls_back_to_ints(self):
+    def test_wide_catalog(self):
         pdb = PartitionedDatabase(
-            (1 << 70, 3), (1, 1), ("a", "b"), PropertyCatalog.generic(71)
+            (1 << 70, 3, 1 << 64 | 1 << 63), (2, 1), ("a", "b"), PropertyCatalog.generic(71)
         )
-        assert pdb.scan_partitions == pdb.partitions
+        assert pdb.bitmaps[0][70] == 0b01
+        assert pdb.bitmaps[0][0] == pdb.bitmaps[0][1] == 0b10
+        assert pdb.bitmaps[1][63] == pdb.bitmaps[1][64] == 1
         assert support(1 << 70, pdb).per_goal == (1, 0)
 
-    def test_pure_path_matches(self, pure_scan):
-        pdb = preprocess(TestPreprocess().rows(), make_descriptors())
-        assert pdb.scan_partitions == pdb.partitions
-        assert support(9, pdb).per_goal == (1, 0)
+    def test_empty_partition_has_zero_bitmaps(self):
+        rows = [r for r in TestPreprocess().rows() if r["label"] == "no"]
+        pdb = preprocess(rows, make_descriptors())
+        assert pdb.bitmaps[1] == (0,) * len(pdb.catalog)
+
+    @pytest.mark.parametrize("m", [5, 64, 65, 130])
+    def test_pure_builder_matches_numpy(self, m, monkeypatch):
+        pytest.importorskip("numpy")
+        rng = random.Random(m)
+        sizes = (300, 0, 17)
+        records = tuple(rng.randrange(1, 1 << m) for _ in range(sum(sizes)))
+        catalog = PropertyCatalog.generic(m)
+        built = PartitionedDatabase(records, sizes, ("a", "b", "c"), catalog).bitmaps
+        monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_np", None)
+        pure = PartitionedDatabase(records, sizes, ("a", "b", "c"), catalog).bitmaps
+        assert pure == built
