@@ -129,7 +129,7 @@ def compute_metrics(
     elif lift <= 1.0:
         correlation = lift - 1.0
     else:
-        correlation = (lift - 1.0) / (total / n_k - 1.0)
+        correlation = _positive_correlation(sup_k, sup, (total - n_k) / n_k)
     return RuleMetrics(
         f_g=f_g,
         f_all=f_all,
@@ -146,4 +146,20 @@ def recommended_min_correlation(p: float) -> float:
     goal gets rarer."""
     if p <= 0:
         raise ValueError("partition ratio must be positive")
-    return (p - 1.0) / (2.0 * p)
+    return _positive_correlation(1, 2, p)
+
+
+def _positive_correlation(sup_k: int, sup: int, p: float) -> float:
+    """Correlation on the lift > 1 side, ``(lift - 1) / p`` with
+    ``lift = conf * (p + 1)`` and ``conf = sup_k / sup``, for the
+    outside/inside record ratio ``p`` as the float ``(total - n_k) / n_k``.
+
+    It is ``conf - (1 - conf) / p`` as one correctly-rounded division of
+    exact integers (``p`` as its integer ratio), so it rises with ``sup_k``
+    and a confidence of 1 gives exactly 1. At ``sup_k / sup == 1/2`` it is
+    ``recommended_min_correlation(p)``, so that threshold's guarantee holds
+    for the floats: no confidence of at most 0.5 yields a correlation above
+    it.
+    """
+    a, b = p.as_integer_ratio()
+    return (sup_k * a - (sup - sup_k) * b) / (sup * a)

@@ -248,6 +248,22 @@ class TestRecommendedMinCorrelation:
         if metrics.correlation > recommended_min_correlation(p):
             assert metrics.confidence > 0.5
 
+    def test_half_confidence_ties_never_exceed_threshold(self):
+        # every count set with confidence exactly 0.5 and a minority goal up
+        # to 120 records, among them 6 of 12 with n_k 12 of 34, where the
+        # exact correlation equals the threshold (5/22)
+        ties = 0
+        for total in range(4, 121):
+            for n_k in range(1, total // 2 + 1):
+                threshold = recommended_min_correlation((total - n_k) / n_k)
+                for sup_k in range(1, n_k + 1):
+                    if sup_k > total - n_k:
+                        break
+                    metrics = compute_metrics(sup_k, 2 * sup_k, n_k, total)
+                    assert metrics.correlation <= threshold, (sup_k, n_k, total)
+                    ties += 1
+        assert ties > 50_000
+
     def test_threshold_exceeded_case_is_reachable(self):
         # conf 0.75, lift 1.5 on an even split: corr 0.5 > threshold 0
         metrics = compute_metrics(3, 4, 5, 10)
