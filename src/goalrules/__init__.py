@@ -15,7 +15,6 @@ from .preprocess import (
     database_from_dict,
     database_to_dict,
     decode,
-    discretize,
     dump_database,
     encode_row,
     load_database,
@@ -78,7 +77,6 @@ __all__ = [
     "database_from_dict",
     "database_to_dict",
     "decode",
-    "discretize",
     "dump_database",
     "eligible_candidates",
     "encode_row",

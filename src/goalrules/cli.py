@@ -13,7 +13,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from .datasets import save_tables, synthetic_tables
-from .engine import MiningConfig, Rule, RuleSet, mine, mine_negative
+from .engine import MiningConfig, Rule, RuleSet, check_threads, mine, mine_negative
 from .errors import ConfigError, DataError
 from .metrics import CriteriaWeights
 from .preprocess import (
@@ -63,6 +63,7 @@ def _parse_weights(text: str) -> CriteriaWeights:
 
 
 def _build_config(args: argparse.Namespace) -> MiningConfig:
+    check_threads(args.threads)
     weights = _parse_weights(args.weights) if args.weights else CriteriaWeights()
     return MiningConfig(
         min_corr=args.min_corr,
@@ -366,3 +367,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

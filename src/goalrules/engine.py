@@ -187,7 +187,8 @@ def expand(
     )
 
 
-def _check_threads(threads: int) -> None:
+def check_threads(threads: int) -> None:
+    """Reject a thread count below 1; the CLI calls this before reading input."""
     if threads < 1:
         raise ConfigError("thread count must be >= 1")
 
@@ -201,7 +202,7 @@ def mine(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> RuleSe
     ``threads`` is accepted for compatibility and must be >= 1; the search
     runs sequentially, so results are identical for any value.
     """
-    _check_threads(threads)
+    check_threads(threads)
     if config is None:
         config = MiningConfig()
     candidates = create_candidates(pdb, config)
@@ -234,7 +235,7 @@ def mine_negative(pdb, config: MiningConfig | None = None, *, threads: int = 1) 
     """Single-property rules arguing against a goal: correlation at or below
     ``neg_corr``. These are terminal; longer premises only lose support.
     ``threads`` is a sequential alias, as in ``mine``."""
-    _check_threads(threads)
+    check_threads(threads)
     if config is None:
         config = MiningConfig()
     total = pdb.total

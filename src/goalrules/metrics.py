@@ -12,6 +12,7 @@ caller — miner, oracle, CLI — sees bit-identical floats for the same counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .errors import ConfigError
 from .preprocess import set_bits
@@ -39,8 +40,8 @@ class CriteriaWeights:
 
     def __post_init__(self) -> None:
         weights = self.as_tuple()
-        if any(w < 0 for w in weights):
-            raise ConfigError("criteria weights must be non-negative")
+        if not all(0 <= w < inf for w in weights):
+            raise ConfigError("criteria weights must be finite and non-negative")
         if not any(w > 0 for w in weights):
             raise ConfigError("at least one criteria weight must be positive")
 

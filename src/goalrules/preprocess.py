@@ -12,7 +12,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import accumulate, chain
 from math import isfinite
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -187,13 +187,6 @@ class PropertyCatalog:
     def names(self) -> list[str]:
         return [p.name for p in self.properties]
 
-    @cached_property
-    def _by_source(self) -> dict[tuple[str, int], int]:
-        return {(p.column, p.category): p.index for p in self.properties}
-
-    def index_for(self, column: str, category: int) -> int:
-        return self._by_source[(column, category)]
-
     @classmethod
     def generic(cls, m: int) -> "PropertyCatalog":
         """Anonymous m-property catalog (P0..Pm-1) for synthetic databases."""
@@ -233,22 +226,51 @@ def build_catalog(descriptors: Sequence[ColumnDescriptor]) -> PropertyCatalog:
     return PropertyCatalog(tuple(props))
 
 
-def discretize(value: float, boundaries: Sequence[float]) -> int:
-    """Map a value to its bin index among half-open bins.
+def _compile(descriptors: Sequence[ColumnDescriptor], catalog: PropertyCatalog) -> list[tuple]:
+    """One ``(name, bounds, labels, codes)`` entry per column: continuous
+    columns carry their bin boundaries, the others a label -> category dict;
+    ``codes[c]`` is the bit of category c, and ``None`` for the target."""
+    if len(catalog) == 0:
+        raise DataError("no input columns")
+    bits: dict[str, dict[int, int]] = {}
+    for prop in catalog:
+        bits.setdefault(prop.column, {})[prop.category] = prop.code
+    columns = []
+    for desc in descriptors:
+        codes = None if desc.is_target else bits[desc.name]
+        if desc.kind == CONTINUOUS:
+            columns.append((desc.name, desc.values, None, codes))
+        else:
+            columns.append((desc.name, None, {v: i for i, v in enumerate(desc.values)}, codes))
+    return columns
 
-    Bin 0 is everything below the first boundary; a value equal to a
-    boundary belongs to the bin above it.
-    """
-    if not isfinite(value):
-        raise DataError(f"non-finite value {value!r}")
-    return bisect_right(boundaries, value)
 
-
-def _cell(row: Mapping[str, str], column: str):
-    value = row.get(column)
-    if value is None or value == "":
-        raise MissingValueError(f"missing value in column {column!r}")
-    return value
+def _encode(row: Mapping[str, str], columns: Sequence[tuple]) -> tuple[int, int]:
+    code = 0
+    goal = -1
+    for name, bounds, labels, codes in columns:
+        raw = row.get(name)
+        if raw is None or raw == "":
+            raise MissingValueError(f"missing value in column {name!r}")
+        if bounds is not None:
+            try:
+                value = float(raw)
+            except ValueError as exc:
+                raise DataError(f"unparsable continuous value {raw!r} in column {name!r}") from exc
+            if not isfinite(value):
+                raise DataError(f"column {name!r}: non-finite value {value!r}")
+            # a value equal to a boundary belongs to the bin above it
+            category = bisect_right(bounds, value)
+        else:
+            label = str(raw)
+            category = labels.get(label)
+            if category is None:
+                raise DataError(f"unknown label {label!r} in column {name!r}")
+        if codes is None:
+            goal = category
+        else:
+            code |= codes[category]
+    return code, goal
 
 
 def encode_row(
@@ -259,93 +281,50 @@ def encode_row(
     """Encode one row as ``(bit code, goal index)``.
 
     Exactly one property per input column is set, so the code's popcount
-    equals the number of non-target columns.
+    equals the number of non-target columns. A continuous value falls in
+    half-open bins: bin 0 is everything below the first boundary, and a
+    value equal to a boundary belongs to the bin above it.
     """
-    if len(catalog) == 0:
-        raise DataError("no input columns")
-    code = 0
-    goal = -1
-    for desc in descriptors:
-        raw = _cell(row, desc.name)
-        if desc.kind == CONTINUOUS:
-            try:
-                value = float(raw)
-            except ValueError as exc:
-                raise DataError(
-                    f"unparsable continuous value {raw!r} in column {desc.name!r}"
-                ) from exc
-            try:
-                category = discretize(value, desc.values)
-            except DataError as exc:
-                raise DataError(f"column {desc.name!r}: {exc}") from exc
-        else:
-            label = str(raw)
-            try:
-                category = desc.values.index(label)
-            except ValueError as exc:
-                raise DataError(
-                    f"unknown label {label!r} in column {desc.name!r}"
-                ) from exc
-        if desc.is_target:
-            goal = category
-        else:
-            code |= 1 << catalog.index_for(desc.name, category)
-    return code, goal
+    return _encode(row, _compile(descriptors, catalog))
 
 
 @dataclass(frozen=True)
 class PartitionedDatabase:
     """Encoded records grouped by goal class, plus the property catalog.
 
-    ``records`` lists each goal's records contiguously, in input order
-    within a goal; ``partition_sizes[k]`` is the record count of goal k.
+    ``partitions[k]`` holds the record codes of goal k in input order; the
+    sizes, the total and the flat ``records`` are derived from it.
     """
 
-    records: tuple[int, ...]
-    partition_sizes: tuple[int, ...]
+    partitions: tuple[tuple[int, ...], ...]
     goal_labels: tuple[str, ...]
     catalog: PropertyCatalog
     skipped_rows: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.goal_labels) != len(self.partition_sizes):
-            raise DataError("one partition size per goal label required")
-        if any(n < 0 for n in self.partition_sizes):
-            raise DataError("partition sizes must be non-negative")
-        if sum(self.partition_sizes) != len(self.records):
-            raise DataError("partition sizes must sum to the record count")
+        if len(self.goal_labels) != len(self.partitions):
+            raise DataError("one partition per goal label required")
+
+    @cached_property
+    def partition_sizes(self) -> tuple[int, ...]:
+        return tuple(len(part) for part in self.partitions)
+
+    @cached_property
+    def total(self) -> int:
+        return sum(self.partition_sizes)
 
     @property
-    def total(self) -> int:
-        return len(self.records)
-
-    @cached_property
-    def partition_starts(self) -> tuple[int, ...]:
-        starts = []
-        offset = 0
-        for size in self.partition_sizes:
-            starts.append(offset)
-            offset += size
-        return tuple(starts)
-
-    @cached_property
-    def partitions(self) -> tuple[tuple[int, ...], ...]:
-        """Per-goal record slices."""
-        return tuple(
-            self.records[start : start + size]
-            for start, size in zip(self.partition_starts, self.partition_sizes)
-        )
+    def records(self) -> tuple[int, ...]:
+        """Every goal's records, contiguously in goal order."""
+        return tuple(chain.from_iterable(self.partitions))
 
     @cached_property
     def bitmaps(self) -> tuple[tuple[int, ...], ...]:
         """Vertical layout: ``bitmaps[k][i]`` has bit j set when record j of
-        goal k has property i. Built on first use, from ``records`` directly."""
+        goal k has property i. Built on first use, from ``partitions``."""
         build = _bitmaps_numpy if _np is not None else _bitmaps_pure
         m = len(self.catalog)
-        return tuple(
-            build(self.records, start, size, m)
-            for start, size in zip(self.partition_starts, self.partition_sizes)
-        )
+        return tuple(build(part, m) for part in self.partitions)
 
 
 def set_bits(code: int) -> Iterator[int]:
@@ -356,27 +335,25 @@ def set_bits(code: int) -> Iterator[int]:
         code ^= low
 
 
-def _bitmaps_numpy(records, start: int, size: int, m: int) -> tuple[int, ...]:
+def _bitmaps_numpy(part: Sequence[int], m: int) -> tuple[int, ...]:
     """One goal's property bitmaps, one 64-bit limb of the codes at a time.
     Bit b of a little-endian word sits in its byte b // 8, so each property
     is a strided byte view, masked and packed; no rows x properties matrix."""
     out = []
     for base in range(0, m, _LIMB_BITS):
-        part = islice(records, start, start + size)
-        if m > _LIMB_BITS:
-            part = ((code >> base) & _LIMB_MASK for code in part)
-        limb = _np.fromiter(part, dtype="<u8", count=size).view(_np.uint8)
+        codes = part if m <= _LIMB_BITS else ((code >> base) & _LIMB_MASK for code in part)
+        limb = _np.fromiter(codes, dtype="<u8", count=len(part)).view(_np.uint8)
         for bit in range(min(_LIMB_BITS, m - base)):
             packed = _np.packbits(limb[bit >> 3 :: 8] & (1 << (bit & 7)), bitorder="little")
             out.append(int.from_bytes(packed.tobytes(), "little"))
     return tuple(out)
 
 
-def _bitmaps_pure(records, start: int, size: int, m: int) -> tuple[int, ...]:
+def _bitmaps_pure(part: Sequence[int], m: int) -> tuple[int, ...]:
     """Same result as ``_bitmaps_numpy``, set bit by set bit."""
-    columns = [bytearray((size + 7) // 8) for _ in range(m)]
+    columns = [bytearray((len(part) + 7) // 8) for _ in range(m)]
     in_catalog = (1 << m) - 1
-    for j, code in enumerate(islice(records, start, start + size)):
+    for j, code in enumerate(part):
         byte, mask = j >> 3, 1 << (j & 7)
         for i in set_bits(code & in_catalog):
             columns[i][byte] |= mask
@@ -389,19 +366,22 @@ def preprocess(
     *,
     skip_missing: bool = False,
 ) -> PartitionedDatabase:
-    """Encode and partition a table of raw rows.
+    """Encode each row with the compiled description and append its code to
+    its goal's partition, keeping input order within a goal.
 
     Rows with missing cells are a hard error naming the row and column
     unless ``skip_missing`` is set, in which case they are dropped and
-    counted in ``skipped_rows``.
+    counted in ``skipped_rows``. A description without input columns fails
+    before any row is read.
     """
     target = validate_descriptors(descriptors)
     catalog = build_catalog(descriptors)
+    columns = _compile(descriptors, catalog)
     buckets: list[list[int]] = [[] for _ in target.values]
     skipped = 0
     for row_number, row in enumerate(rows, start=1):
         try:
-            code, goal = encode_row(row, descriptors, catalog)
+            code, goal = _encode(row, columns)
         except MissingValueError as exc:
             if skip_missing:
                 skipped += 1
@@ -410,33 +390,45 @@ def preprocess(
         except DataError as exc:
             raise DataError(f"row {row_number}: {exc}") from exc
         buckets[goal].append(code)
-    records = tuple(chain.from_iterable(buckets))
-    if not records:
+    if not any(buckets):
         raise DataError("no records")
     return PartitionedDatabase(
-        records=records,
-        partition_sizes=tuple(len(b) for b in buckets),
+        partitions=tuple(tuple(bucket) for bucket in buckets),
         goal_labels=tuple(str(v) for v in target.values),
         catalog=catalog,
         skipped_rows=skipped,
     )
 
 
+def _open_input(path, **kwargs):
+    try:
+        return open(path, **kwargs)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def read_table(path, descriptors: Sequence[ColumnDescriptor]) -> Iterator[dict[str, str]]:
-    """Stream CSV rows after checking the header against the description."""
+    """Stream CSV rows after checking the header against the description.
+    A row with more cells than the header is an error naming the row."""
     expected = [d.name for d in descriptors]
-    with open(path, newline="") as handle:
+    with _open_input(path, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames != expected:
             raise DataError(
                 f"CSV header {reader.fieldnames} does not match description columns {expected}"
             )
-        yield from reader
+        for row_number, row in enumerate(reader, start=1):
+            if None in row:
+                raise DataError(
+                    f"row {row_number}: {len(expected) + len(row[None])} cells, "
+                    f"but the header has {len(expected)} columns"
+                )
+            yield row
 
 
 def preprocess_csv(db_path, dbd_path, *, skip_missing: bool = False) -> PartitionedDatabase:
     """Read a description file and a CSV table, returning the encoded database."""
-    with open(dbd_path) as handle:
+    with _open_input(dbd_path) as handle:
         descriptors = parse_description(handle.read())
     return preprocess(read_table(db_path, descriptors), descriptors, skip_missing=skip_missing)
 
@@ -491,10 +483,15 @@ def database_from_dict(doc: dict) -> PartitionedDatabase:
         labels = tuple(str(v) for v in doc["goal_labels"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed database dump: {exc}") from exc
+    if any(n < 0 for n in sizes):
+        raise DataError("partition sizes must be non-negative")
+    if sum(sizes) != len(records):
+        raise DataError("partition sizes must sum to the record count")
     for record in records:
         if record <= 0 or record >> len(catalog):
             raise DataError(f"code out of catalog range: {record}")
-    return PartitionedDatabase(records, sizes, labels, catalog)
+    partitions = tuple(records[end - n : end] for n, end in zip(sizes, accumulate(sizes)))
+    return PartitionedDatabase(partitions, labels, catalog)
 
 
 def dump_database(pdb: PartitionedDatabase, path) -> None:
@@ -517,12 +514,8 @@ def replicate(pdb: PartitionedDatabase, factor: int) -> PartitionedDatabase:
     unchanged, which makes this useful for scaling benchmarks."""
     if factor < 1:
         raise ValueError("replication factor must be >= 1")
-    records: list[int] = []
-    for part in pdb.partitions:
-        records.extend(part * factor)
     return PartitionedDatabase(
-        records=tuple(records),
-        partition_sizes=tuple(n * factor for n in pdb.partition_sizes),
+        partitions=tuple(part * factor for part in pdb.partitions),
         goal_labels=pdb.goal_labels,
         catalog=pdb.catalog,
         skipped_rows=pdb.skipped_rows,

@@ -14,8 +14,7 @@ def build_pdb(parts: list[list[int]], m: int, labels=None) -> PartitionedDatabas
     if labels is None:
         labels = tuple(f"G{k}" for k in range(len(parts)))
     return PartitionedDatabase(
-        records=tuple(code for part in parts for code in part),
-        partition_sizes=tuple(len(part) for part in parts),
+        partitions=tuple(tuple(part) for part in parts),
         goal_labels=tuple(labels),
         catalog=PropertyCatalog.generic(m),
     )

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +87,25 @@ class TestPreprocessCommand:
         assert main(["preprocess", "--db", str(broken), "--dbd", dbd]) == 3
         err = capsys.readouterr().err
         assert "row 41" in err and "'f'" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--skip-missing"]])
+    def test_extra_cells_are_data_error(self, table, tmp_path, capsys, flags):
+        db, dbd = table
+        broken = tmp_path / "broken.csv"
+        broken.write_text(Path(db).read_text() + "0.2,a,g0,999\n")
+        for command in ("preprocess", "mine"):
+            assert main([command, "--db", str(broken), "--dbd", dbd, *flags]) == 3
+            err = capsys.readouterr().err
+            assert err == "error: row 41: 4 cells, but the header has 3 columns\n"
+
+    @pytest.mark.parametrize("command", ["preprocess", "mine", "bench"])
+    def test_missing_file_is_data_error(self, table, tmp_path, capsys, command):
+        db, dbd = table
+        missing = str(tmp_path / "nope.csv")
+        for argv in (["--db", missing, "--dbd", dbd], ["--db", db, "--dbd", missing]):
+            assert main([command, *argv]) == 3
+            err = capsys.readouterr().err
+            assert err == f"error: cannot read {missing}: No such file or directory\n"
 
     def test_skip_missing_reports_count(self, table, tmp_path, capsys):
         db, dbd = table
@@ -204,6 +227,21 @@ class TestMineCommand:
         assert main(["mine", "--db", db, "--dbd", dbd, "--threads", "0"]) == 2
         assert "thread count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["mine", "bench"])
+    def test_threads_checked_before_reading(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "nope.csv")
+        assert main([command, "--db", missing, "--dbd", missing, "--threads", "0"]) == 2
+        assert "thread count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", ["nan,1,1,1", "1,inf,1,1", "1,1,-inf,1"])
+    def test_non_finite_weights_are_config_error(self, table, capsys, weights):
+        db, dbd = table
+        argv = ["mine", "--db", db, "--dbd", dbd, "--format", "json", "--weights", weights]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_seed_is_not_a_mining_option(self, table):
         db, dbd = table
         with pytest.raises(SystemExit) as excinfo:
@@ -237,6 +275,19 @@ class TestSynthCommand:
         assert code == 0
         assert "wrote 120 rows" in capsys.readouterr().out
         assert main(["mine", "--db", str(db), "--dbd", str(dbd)]) == 0
+
+    def test_runs_as_python_module(self, tmp_path):
+        import goalrules
+
+        db = tmp_path / "s.csv"
+        dbd = tmp_path / "s.dbd.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(goalrules.__file__).parent.parent))
+        argv = ["synth", "--rows", "30", "--out-db", str(db), "--out-dbd", str(dbd)]
+        done = subprocess.run(
+            [sys.executable, "-m", "goalrules.cli", *argv], env=env, capture_output=True, timeout=60
+        )
+        assert done.returncode == 0
+        assert db.exists() and dbd.exists()
 
     def test_degenerate_shape_is_config_error(self, tmp_path, capsys):
         db = tmp_path / "s.csv"

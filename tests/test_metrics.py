@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -111,6 +112,11 @@ class TestWeights:
     def test_negative_rejected(self):
         with pytest.raises(ConfigError, match="non-negative"):
             CriteriaWeights(p2=-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            CriteriaWeights(1.0, bad, 1.0, 1.0)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ConfigError, match="at least one"):

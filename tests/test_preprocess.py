@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -14,9 +15,9 @@ from goalrules import (
     PartitionedDatabase,
     PropertyCatalog,
     build_catalog,
+    database_from_dict,
     database_to_dict,
     decode,
-    discretize,
     dump_database,
     encode_row,
     load_database,
@@ -153,11 +154,6 @@ class TestCatalog:
         assert catalog[2].full_name == "temp >= 20"
         assert catalog[3].full_name == "color = red"
 
-    def test_index_for(self):
-        catalog = build_catalog(make_descriptors())
-        assert catalog.index_for("color", 1) == 4
-        assert catalog.index_for("temp", 2) == 2
-
     def test_generic(self):
         catalog = PropertyCatalog.generic(4)
         assert catalog.names() == ["P0", "P1", "P2", "P3"]
@@ -169,22 +165,35 @@ class TestCatalog:
             PropertyCatalog((Property(1, "A1", "a", 1, "A1"),))
 
 
+def bin_of(value: float, bounds) -> int:
+    """The bin ``encode_row`` puts ``value`` in, on a description with one
+    continuous input column over ``bounds``."""
+    descs = [
+        ColumnDescriptor("x", "continuous", "X", len(bounds) + 1, tuple(bounds), "x"),
+        ColumnDescriptor("y", "target", "Y", 2, ("a", "b"), "y"),
+    ]
+    code, _ = encode_row({"x": repr(value), "y": "a"}, descs, build_catalog(descs))
+    return code.bit_length() - 1
+
+
 class TestDiscretize:
+    """Continuous binning, through ``encode_row``."""
+
     @pytest.mark.parametrize(
         "value,expected",
         [(9.99, 0), (10.0, 1), (15.0, 1), (20.0, 2), (25.0, 2), (-1e9, 0)],
     )
     def test_bins(self, value, expected):
-        assert discretize(value, [10.0, 20.0]) == expected
+        assert bin_of(value, [10.0, 20.0]) == expected
 
     def test_single_boundary(self):
-        assert discretize(0.0, [0.5]) == 0
-        assert discretize(0.5, [0.5]) == 1
+        assert bin_of(0.0, [0.5]) == 0
+        assert bin_of(0.5, [0.5]) == 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite(self, bad):
-        with pytest.raises(DataError, match="non-finite value"):
-            discretize(bad, [1.0])
+        with pytest.raises(DataError, match=f"column 'x': non-finite value {bad!r}$"):
+            bin_of(bad, [1.0])
 
     @given(
         bounds=st.lists(
@@ -194,11 +203,11 @@ class TestDiscretize:
     )
     def test_total_and_monotone(self, bounds, value):
         bounds = sorted(bounds)
-        bin_index = discretize(value, bounds)
+        bin_index = bin_of(value, bounds)
         assert 0 <= bin_index <= len(bounds)
         # every boundary belongs to the bin above it
         for i, b in enumerate(bounds):
-            assert discretize(b, bounds) == i + 1
+            assert bin_of(b, bounds) == i + 1
         if bin_index > 0:
             assert value >= bounds[bin_index - 1]
         if bin_index < len(bounds):
@@ -263,7 +272,6 @@ class TestPreprocess:
         assert pdb.partition_sizes == (2, 1)
         assert pdb.records == (9, 10, 20)  # goal-0 rows keep input order
         assert pdb.goal_labels == ("no", "yes")
-        assert pdb.partition_starts == (0, 2)
         assert pdb.partitions == ((9, 10), (20,))
         assert pdb.total == 3
 
@@ -320,6 +328,75 @@ class TestPreprocess:
             assert goal == y
 
 
+def reference_encode(row, descriptors) -> tuple[int, int]:
+    """Per-cell reference encoder: a value's bin is the number of boundaries
+    at or below it, and bits are laid out column by column, category by
+    category, in description order, skipping the target."""
+    code, goal, offset = 0, None, 0
+    for desc in descriptors:
+        raw = row[desc.name]
+        if desc.kind == "continuous":
+            category = sum(b <= float(raw) for b in desc.values)
+        else:
+            category = desc.values.index(raw)
+        if desc.is_target:
+            goal = category
+        else:
+            code |= 1 << (offset + category)
+            offset += desc.class_count
+    return code, goal
+
+
+@st.composite
+def described_rows(draw):
+    """A random description (continuous and categorical input columns, the
+    target anywhere) and rows whose continuous cells hit boundaries, ±0.0
+    and arbitrary finite values."""
+    labels = st.lists(st.text(min_size=1, max_size=3), min_size=2, max_size=4, unique=True)
+    descs = []
+    for i in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            bounds = draw(
+                st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=4, unique=True)
+            )
+            values = tuple(sorted(bounds))
+            kind, classes = "continuous", len(values) + 1
+        else:
+            values = tuple(draw(labels))
+            kind, classes = "categorical", len(values)
+        descs.append(ColumnDescriptor(f"c{i}", kind, f"C{i}", classes, values, f"c{i}"))
+    goals = tuple(draw(labels))
+    target = ColumnDescriptor("y", "target", "Y", len(goals), goals, "y")
+    descs.insert(draw(st.integers(0, len(descs))), target)
+
+    def cell(desc):
+        if desc.kind != "continuous":
+            return st.sampled_from(desc.values)
+        special = st.sampled_from(desc.values + (0.0, -0.0))
+        return st.one_of(special, st.floats(-2e3, 2e3, allow_nan=False)).map(repr)
+
+    row = st.fixed_dictionaries({d.name: cell(d) for d in descs})
+    return descs, draw(st.lists(row, min_size=1, max_size=20))
+
+
+class TestEncoderMatchesReference:
+    @given(described_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_preprocess_agrees_with_per_cell_reference(self, case):
+        descs, rows = case
+        target = next(d for d in descs if d.is_target)
+        buckets = [[] for _ in target.values]
+        for row in rows:
+            code, goal = reference_encode(row, descs)
+            buckets[goal].append(code)
+            assert encode_row(row, descs, build_catalog(descs)) == (code, goal)
+        pdb = preprocess(rows, descs)
+        assert pdb.partitions == tuple(tuple(b) for b in buckets)
+        assert pdb.records == tuple(c for b in buckets for c in b)
+        assert pdb.partition_sizes == tuple(len(b) for b in buckets)
+        assert pdb.total == len(rows)
+
+
 class TestDecode:
     def test_values(self):
         catalog = PropertyCatalog.generic(4)
@@ -334,17 +411,31 @@ class TestDecode:
 
 
 class TestDatabaseInvariants:
+    def dump(self, sizes) -> dict:
+        pdb = PartitionedDatabase(((1,), (2,)), ("a", "b"), PropertyCatalog.generic(2))
+        doc = database_to_dict(pdb)
+        doc["partition_sizes"] = list(sizes)
+        return doc
+
     def test_size_sum_must_match(self):
         with pytest.raises(DataError, match="sum"):
-            PartitionedDatabase((1, 2), (1,), ("a",), PropertyCatalog.generic(2))
+            database_from_dict(self.dump((1, 2)))
 
     def test_label_count_must_match(self):
         with pytest.raises(DataError, match="per goal label"):
-            PartitionedDatabase((1,), (1, 0), ("a",), PropertyCatalog.generic(2))
+            PartitionedDatabase(((1,), ()), ("a",), PropertyCatalog.generic(2))
+        with pytest.raises(DataError, match="per goal label"):
+            database_from_dict(self.dump((1, 1, 0)))
 
     def test_negative_size(self):
         with pytest.raises(DataError, match="non-negative"):
-            PartitionedDatabase((), (-1, 1), ("a", "b"), PropertyCatalog.generic(2))
+            database_from_dict(self.dump((-1, 3)))
+
+    def test_sizes_split_records_into_partitions(self):
+        loaded = database_from_dict(self.dump((0, 2)))
+        assert loaded.partitions == ((), (1, 2))
+        assert loaded.partition_sizes == (0, 2)
+        assert loaded.total == 2
 
 
 class TestDumpLoad:
@@ -429,6 +520,26 @@ class TestCsv:
         with pytest.raises(DataError, match="does not match description columns"):
             preprocess_csv(db, dbd)
 
+    @pytest.mark.parametrize("extra", [",999", ",", ",1,2"])
+    def test_extra_cells_name_the_row(self, tmp_path, extra):
+        db, dbd = self.write_files(tmp_path, ["5,red,no", "25,blue,yes" + extra])
+        message = f"^row 2: {3 + extra.count(',')} cells, but the header has 3 columns$"
+        with pytest.raises(DataError, match=message):
+            preprocess_csv(db, dbd)
+        with pytest.raises(DataError, match="^row 2: "):
+            preprocess_csv(db, dbd, skip_missing=True)
+
+    def test_missing_files_name_the_path(self, tmp_path):
+        db, dbd = self.write_files(tmp_path, ["5,red,no"])
+        missing = tmp_path / "nope.csv"
+        absent = re.escape(f"cannot read {missing}: No such file or directory")
+        with pytest.raises(DataError, match=absent):
+            preprocess_csv(missing, dbd)
+        with pytest.raises(DataError, match=absent):
+            preprocess_csv(db, missing)
+        with pytest.raises(DataError, match=re.escape(f"cannot read {tmp_path}: Is a directory")):
+            preprocess_csv(tmp_path, dbd)
+
     def test_read_table_streams_dicts(self, tmp_path):
         db, _ = self.write_files(tmp_path, ["5,red,no"])
         rows = list(read_table(db, make_descriptors()))
@@ -443,7 +554,7 @@ class TestBitmaps:
 
     def test_wide_catalog(self):
         pdb = PartitionedDatabase(
-            (1 << 70, 3, 1 << 64 | 1 << 63), (2, 1), ("a", "b"), PropertyCatalog.generic(71)
+            ((1 << 70, 3), (1 << 64 | 1 << 63,)), ("a", "b"), PropertyCatalog.generic(71)
         )
         assert pdb.bitmaps[0][70] == 0b01
         assert pdb.bitmaps[0][0] == pdb.bitmaps[0][1] == 0b10
@@ -459,10 +570,9 @@ class TestBitmaps:
     def test_pure_builder_matches_numpy(self, m, monkeypatch):
         pytest.importorskip("numpy")
         rng = random.Random(m)
-        sizes = (300, 0, 17)
-        records = tuple(rng.randrange(1, 1 << m) for _ in range(sum(sizes)))
+        parts = tuple(tuple(rng.randrange(1, 1 << m) for _ in range(n)) for n in (300, 0, 17))
         catalog = PropertyCatalog.generic(m)
-        built = PartitionedDatabase(records, sizes, ("a", "b", "c"), catalog).bitmaps
+        built = PartitionedDatabase(parts, ("a", "b", "c"), catalog).bitmaps
         monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_np", None)
-        pure = PartitionedDatabase(records, sizes, ("a", "b", "c"), catalog).bitmaps
+        pure = PartitionedDatabase(parts, ("a", "b", "c"), catalog).bitmaps
         assert pure == built
