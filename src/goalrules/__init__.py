@@ -40,17 +40,8 @@ from .engine import (
     Rule,
     RuleSet,
     create_candidates,
-    eligible_candidates,
-    expand,
     mine,
     mine_negative,
-)
-from .oracle import (
-    SetRecord,
-    from_database,
-    oracle_enumerate,
-    oracle_mine,
-    oracle_support,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +59,6 @@ __all__ = [
     "Rule",
     "RuleMetrics",
     "RuleSet",
-    "SetRecord",
     "SupportResult",
     "UNIT_WEIGHTS",
     "build_catalog",
@@ -78,16 +68,10 @@ __all__ = [
     "database_to_dict",
     "decode",
     "dump_database",
-    "eligible_candidates",
     "encode_row",
-    "expand",
-    "from_database",
     "load_database",
     "mine",
     "mine_negative",
-    "oracle_enumerate",
-    "oracle_mine",
-    "oracle_support",
     "parse_description",
     "preprocess",
     "preprocess_csv",

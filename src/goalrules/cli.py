@@ -21,6 +21,7 @@ from .preprocess import (
     catalog_to_list,
     database_to_dict,
     decode,
+    dump_database,
     preprocess_csv,
     replicate,
 )
@@ -197,6 +198,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     pdb = preprocess_csv(args.db, args.dbd, skip_missing=args.skip_missing)
     elapsed = time.perf_counter() - started
+    if args.out:
+        dump_database(pdb, args.out)
     # without --out the dump goes to stdout, so the report moves to stderr
     report_stream = sys.stdout if args.out else sys.stderr
     print(f"{'idx':>4} {'name':<8} {'column':<14} meaning", file=report_stream)
@@ -213,9 +216,6 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         print(f"skipped rows: {pdb.skipped_rows}", file=report_stream)
     print(f"preprocess_seconds={elapsed:.3f}", file=report_stream)
     if args.out:
-        from .preprocess import dump_database
-
-        dump_database(pdb, args.out)
         print(f"encoded database written to {args.out}", file=report_stream)
     else:
         json.dump(database_to_dict(pdb), sys.stdout, indent=2)

@@ -1,18 +1,20 @@
-"""Correlation-driven rule search: candidate generation and monotone
-premise expansion over a partitioned database.
+"""Correlation-driven rule search over a partitioned database.
 
-Premises only ever grow by properties whose bit sits above the current
-top bit, so every premise set is generated exactly once.
+One pass over the single-property supports gives each goal its candidates
+and its negative rules. Each goal's rules then grow depth-first from its
+candidates: a premise only ever grows by a candidate whose bit sits above
+its top bit, so every premise set is generated exactly once, and each
+extension ANDs one more property bitmap onto the bitmaps of its parent's
+premise (the path bitmaps) instead of recounting the whole premise.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .errors import ConfigError
-from .metrics import CriteriaWeights, RuleMetrics, SupportResult, compute_metrics, support
+from .metrics import CriteriaWeights, RuleMetrics, compute_metrics, support
 
 
 @dataclass(frozen=True)
@@ -89,102 +91,100 @@ class RuleSet:
         return RuleSet(self.positive, tuple(tuple(g) for g in negative))
 
 
-def _is_final(premise: int, metrics: RuleMetrics, candidates: Sequence[Rule], config: MiningConfig) -> bool:
+def _is_final(premise: int, metrics: RuleMetrics, top: int, config: MiningConfig) -> bool:
+    """Whether the search stops at this rule; ``top`` is the goal's highest
+    candidate code (0 when it has none)."""
     if metrics.correlation >= config.corr_stop:
         return True
     if metrics.f_all < config.min_f_all:
         return True
     # no candidate bit above the premise's top bit
-    return not candidates or candidates[-1].premise <= premise
+    return top <= premise
 
 
-def _single_supports(pdb) -> list[tuple[int, SupportResult]]:
-    """(code, support) of every property that occurs in some record."""
-    singles = []
-    for i in range(len(pdb.catalog)):
-        result = support(1 << i, pdb)
-        if result.total > 0:
-            singles.append((1 << i, result))
-    return singles
+def _single_rules(pdb, config: MiningConfig) -> tuple[list[list[Rule]], list[list[Rule]]]:
+    """One pass over the single-property supports, per goal: the candidates
+    (correlation above ``min_corr``, final flag set) and the negative rules
+    (correlation at or below ``neg_corr``).
+
+    Goals with an empty partition — or holding every record — get neither;
+    correlation carries no signal there.
+    """
+    total = pdb.total
+    singles = [(1 << i, support(1 << i, pdb)) for i in range(len(pdb.catalog))]
+    candidates: list[list[Rule]] = []
+    negative: list[list[Rule]] = []
+    for goal, n_k in enumerate(pdb.partition_sizes):
+        kept: list[Rule] = []
+        against: list[Rule] = []
+        if 0 < n_k < total:
+            for code, result in singles:
+                sup, sup_k = result.total, result.per_goal[goal]
+                if sup == 0:
+                    continue
+                metrics = compute_metrics(sup_k, sup, n_k, total, config.weights)
+                if metrics.correlation > config.min_corr:
+                    kept.append(Rule(code, 1, goal, sup_k, sup, metrics, final=False))
+                elif metrics.correlation <= config.neg_corr:
+                    against.append(Rule(code, 1, goal, sup_k, sup, metrics, final=True, negative=True))
+        top = kept[-1].premise if kept else 0
+        candidates.append(
+            [replace(rule, final=_is_final(rule.premise, rule.metrics, top, config)) for rule in kept]
+        )
+        negative.append(against)
+    return candidates, negative
 
 
 def create_candidates(pdb, config: MiningConfig) -> list[list[Rule]]:
-    """Single-property rules whose correlation exceeds ``min_corr``, per goal.
+    """Single-property rules whose correlation exceeds ``min_corr``, per goal,
+    in ascending code order."""
+    return _single_rules(pdb, config)[0]
 
-    Goals with an empty partition — or holding every record — get no
-    candidates; correlation carries no signal there.
+
+def _grow(group: Sequence[Rule], pdb, config: MiningConfig) -> list[Rule]:
+    """Every rule of one goal reachable from its candidates ``group``, sorted
+    by premise length, then premise code.
+
+    A depth-first walk on an explicit stack. Each entry holds a rule, the
+    per-goal AND of its premise's bitmaps (the path bitmaps) and the index
+    of the next candidate to try; premises grow only by candidates above
+    their top bit, so every premise set is reached once. An extension ANDs
+    the candidate's bitmap onto the path bitmaps and takes one
+    ``bit_count`` per goal. It is dropped when it loses all support or
+    falls below ``min_corr``, and walked further unless final or at
+    ``max_premise_len``. Above the seeded candidates, whose path bitmaps
+    are their own, the stack holds only the current path.
     """
-    total = pdb.total
-    singles = _single_supports(pdb)
-    out: list[list[Rule]] = []
-    for goal, n_k in enumerate(pdb.partition_sizes):
-        rules: list[Rule] = []
-        if 0 < n_k < total:
-            for code, result in singles:
-                metrics = compute_metrics(
-                    result.per_goal[goal], result.total, n_k, total, config.weights
-                )
-                if metrics.correlation > config.min_corr:
-                    rules.append(
-                        Rule(code, 1, goal, result.per_goal[goal], result.total, metrics, False)
-                    )
-        rules = [
-            replace(rule, final=_is_final(rule.premise, rule.metrics, rules, config))
-            for rule in rules
-        ]
-        out.append(rules)
-    return out
-
-
-def eligible_candidates(rule: Rule, candidates: Sequence[Rule]) -> Sequence[Rule]:
-    """Candidates whose property bit lies above the premise's top bit.
-
-    Candidate codes are single bits in ascending order, so these are exactly
-    the candidates with code greater than the whole premise.
-    """
-    codes = [c.premise for c in candidates]
-    return candidates[bisect_right(codes, rule.premise):]
-
-
-def expand(
-    rule: Rule,
-    candidate: Rule,
-    pdb,
-    config: MiningConfig,
-    *,
-    candidates: Sequence[Rule],
-) -> Rule | None:
-    """Grow a premise by one eligible candidate property.
-
-    Returns None when the longer premise loses all support or falls below
-    ``min_corr``; otherwise a rule one property longer, flagged final when
-    it reaches ``corr_stop``, drops under ``min_f_all``, or has no candidate
-    bit left above it.
-    """
-    if candidate.premise <= rule.premise:
-        raise ValueError("candidate property must sit above the premise's top bit")
-    premise = rule.premise + candidate.premise  # disjoint bits
-    result = support(premise, pdb)
-    if result.total == 0:
-        return None
-    metrics = compute_metrics(
-        result.per_goal[rule.goal],
-        result.total,
-        pdb.partition_sizes[rule.goal],
-        pdb.total,
-        config.weights,
-    )
-    if metrics.correlation < config.min_corr:
-        return None
-    return Rule(
-        premise,
-        rule.premise_len + 1,
-        rule.goal,
-        result.per_goal[rule.goal],
-        result.total,
-        metrics,
-        _is_final(premise, metrics, candidates, config),
-    )
+    if not group:
+        return []
+    goal = group[0].goal
+    n_k, total, weights = pdb.partition_sizes[goal], pdb.total, config.weights
+    top = group[-1].premise
+    limit = config.max_premise_len or len(group)
+    columns = [[maps[c.premise.bit_length() - 1] for maps in pdb.bitmaps] for c in group]
+    rules = list(group)
+    stack = [(c, columns[i], i + 1) for i, c in enumerate(group) if not c.final and limit > 1]
+    while stack:
+        rule, paths, j = stack.pop()
+        if j == len(group):
+            continue
+        stack.append((rule, paths, j + 1))  # its next candidate, after this subtree
+        grown = [path & bits for path, bits in zip(paths, columns[j])]
+        counts = [path.bit_count() for path in grown]
+        sup = sum(counts)
+        if sup == 0:
+            continue
+        metrics = compute_metrics(counts[goal], sup, n_k, total, weights)
+        if metrics.correlation < config.min_corr:
+            continue
+        premise = rule.premise | group[j].premise
+        final = _is_final(premise, metrics, top, config)
+        child = Rule(premise, rule.premise_len + 1, goal, counts[goal], sup, metrics, final)
+        rules.append(child)
+        if not final and child.premise_len < limit:
+            stack.append((child, grown, j + 1))
+    rules.sort(key=lambda r: (r.premise_len, r.premise))
+    return rules
 
 
 def check_threads(threads: int) -> None:
@@ -196,39 +196,17 @@ def check_threads(threads: int) -> None:
 def mine(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> RuleSet:
     """Mine positive rules for every goal class.
 
-    Level-synchronous search: each round expands every non-final rule by
-    every eligible candidate, keeps the survivors sorted by premise code,
-    and stops when a round adds nothing or the premise length cap is hit.
-    ``threads`` is accepted for compatibility and must be >= 1; the search
-    runs sequentially, so results are identical for any value.
+    The single-property candidates of each goal seed a depth-first walk
+    (``_grow``) that extends a premise by one candidate bit above its top
+    bit at a time, ANDing that property's bitmap onto the premise's path
+    bitmaps. ``threads`` is accepted for compatibility and must be >= 1;
+    the search runs sequentially, so results are identical for any value.
     """
     check_threads(threads)
     if config is None:
         config = MiningConfig()
-    candidates = create_candidates(pdb, config)
-    per_goal = [list(group) for group in candidates]
-    current = candidates
-    length = 1
-    while any(current) and (config.max_premise_len is None or length < config.max_premise_len):
-        grown: list[list[Rule]] = [[] for _ in candidates]
-        for goal, rules in enumerate(current):
-            group = candidates[goal]
-            for rule in rules:
-                if rule.final:
-                    continue
-                for candidate in eligible_candidates(rule, group):
-                    child = expand(rule, candidate, pdb, config, candidates=group)
-                    if child is not None:
-                        grown[goal].append(child)
-        if not any(grown):
-            break
-        for goal, rules in enumerate(grown):
-            rules.sort(key=lambda r: r.premise)
-            per_goal[goal].extend(rules)
-        current = grown
-        length += 1
-    empty = tuple(() for _ in per_goal)
-    return RuleSet(tuple(tuple(rules) for rules in per_goal), empty)
+    positive = tuple(tuple(_grow(group, pdb, config)) for group in create_candidates(pdb, config))
+    return RuleSet(positive, tuple(() for _ in positive))
 
 
 def mine_negative(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> list[list[Rule]]:
@@ -238,28 +216,4 @@ def mine_negative(pdb, config: MiningConfig | None = None, *, threads: int = 1) 
     check_threads(threads)
     if config is None:
         config = MiningConfig()
-    total = pdb.total
-    singles = _single_supports(pdb)
-    out: list[list[Rule]] = []
-    for goal, n_k in enumerate(pdb.partition_sizes):
-        rules: list[Rule] = []
-        if 0 < n_k < total:
-            for code, result in singles:
-                metrics = compute_metrics(
-                    result.per_goal[goal], result.total, n_k, total, config.weights
-                )
-                if metrics.correlation <= config.neg_corr:
-                    rules.append(
-                        Rule(
-                            code,
-                            1,
-                            goal,
-                            result.per_goal[goal],
-                            result.total,
-                            metrics,
-                            final=True,
-                            negative=True,
-                        )
-                    )
-        out.append(rules)
-    return out
+    return _single_rules(pdb, config)[1]

@@ -254,6 +254,8 @@ def _encode(row: Mapping[str, str], columns: Sequence[tuple]) -> tuple[int, int]
             raise MissingValueError(f"missing value in column {name!r}")
         if bounds is not None:
             try:
+                if "_" in raw:  # float() would read the digit groups of "1_0" as 10.0
+                    raise ValueError(raw)
                 value = float(raw)
             except ValueError as exc:
                 raise DataError(f"unparsable continuous value {raw!r} in column {name!r}") from exc
@@ -495,9 +497,12 @@ def database_from_dict(doc: dict) -> PartitionedDatabase:
 
 
 def dump_database(pdb: PartitionedDatabase, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(database_to_dict(pdb), handle, indent=2)
-        handle.write("\n")
+    try:
+        with open(path, "w") as handle:
+            json.dump(database_to_dict(pdb), handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def load_database(path) -> PartitionedDatabase:

@@ -107,6 +107,14 @@ class TestPreprocessCommand:
             err = capsys.readouterr().err
             assert err == f"error: cannot read {missing}: No such file or directory\n"
 
+    def test_unwritable_out_is_data_error(self, table, tmp_path, capsys):
+        db, dbd = table
+        out = str(tmp_path / "nope" / "enc.json")
+        assert main(["preprocess", "--db", db, "--dbd", dbd, "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+        assert captured.out == ""
+
     def test_skip_missing_reports_count(self, table, tmp_path, capsys):
         db, dbd = table
         broken = tmp_path / "broken.csv"

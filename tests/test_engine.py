@@ -8,11 +8,8 @@ from goalrules import (
     ConfigError,
     CriteriaWeights,
     MiningConfig,
-    Rule,
     compute_metrics,
     create_candidates,
-    eligible_candidates,
-    expand,
     mine,
     mine_negative,
     replicate,
@@ -114,74 +111,70 @@ class TestCreateCandidates:
         assert groups[0] and all(rule.final for rule in groups[0])
 
 
-class TestEligibleCandidates:
-    def make(self, codes):
-        metrics = compute_metrics(1, 1, 1, 2)
-        return [Rule(c, 1, 0, 1, 1, metrics, False) for c in codes]
+# Goal 0 holds the candidates 2, 8 and 32 (bits 1, 3, 5) at correlation 0.5,
+# and every pair and the triple survive at correlation 3/7; goal 1 holds the
+# perfect predictors 1, 4 and 16.
+LADDER_PARTS = [[42] * 5 + [2, 8, 32], [42] * 2 + [21] * 6]
+LADDER = MiningConfig(min_corr=0.1, min_f_all=0.0)
 
-    def rule(self, premise, length=2):
-        metrics = compute_metrics(1, 1, 1, 2)
-        return Rule(premise, length, 0, 1, 1, metrics, False)
+
+class TestEligibleCandidates:
+    """A premise grows only by candidates above its top bit, seen through mine."""
+
+    def mined(self, config=LADDER):
+        return mine(build_pdb(LADDER_PARTS, m=6), config).positive
 
     def test_strictly_above_top_bit(self):
-        candidates = self.make([2, 8, 32])
-        assert [c.premise for c in eligible_candidates(self.rule(5), candidates)] == [8, 32]
+        # 42 is reachable from 10, 34 and 40 in any order, but appears once
+        assert [r.premise for r in self.mined()[0]] == [2, 8, 32, 10, 34, 40, 42]
 
     def test_self_not_eligible(self):
-        candidates = self.make([2, 8, 32])
-        assert [c.premise for c in eligible_candidates(self.rule(8, 1), candidates)] == [32]
+        lengths = [(r.premise, r.premise_len) for r in self.mined()[0]]
+        assert lengths == [(2, 1), (8, 1), (32, 1), (10, 2), (34, 2), (40, 2), (42, 3)]
 
     def test_top_premise_has_none(self):
-        candidates = self.make([2, 8, 32])
-        assert list(eligible_candidates(self.rule(33), candidates)) == []
+        finals = {r.premise: r.final for r in self.mined()[0]}
+        # premises holding the top candidate bit have nothing left above them
+        assert finals == {2: False, 8: False, 32: True, 10: False, 34: True, 40: True, 42: True}
 
     def test_empty_candidates(self):
-        assert list(eligible_candidates(self.rule(1), [])) == []
+        positive = self.mined(MiningConfig(min_corr=0.6, min_f_all=0.0))
+        assert positive[0] == ()
+        assert [r.premise for r in positive[1]] == [1, 4, 16]
 
 
 class TestExpand:
-    def setup_pair(self, pdb, config, goal=0):
-        groups = create_candidates(pdb, config)
-        return groups[goal], config
-
-    def test_ineligible_candidate_rejected(self):
-        pdb = corr_drop_pdb()
-        group, config = self.setup_pair(pdb, MiningConfig())
-        with pytest.raises(ValueError, match="above the premise"):
-            expand(group[1], group[0], pdb, config, candidates=group)
+    """Growing a premise by one candidate property, seen through mine."""
 
     def test_pair_below_min_corr_dropped(self):
         pdb = corr_drop_pdb()
-        group, config = self.setup_pair(pdb, MiningConfig())
+        group = create_candidates(pdb, MiningConfig())[0]
         assert [r.metrics.correlation for r in group] == [0.4, 0.4]
-        assert expand(group[0], group[1], pdb, config, candidates=group) is None
+        pair = support(3, pdb)
+        assert compute_metrics(pair.per_goal[0], pair.total, 10, 30).correlation == 0.0
+        assert [r.premise for r in mine(pdb).positive[0]] == [1, 2]
 
     def test_pair_kept_at_lower_threshold(self):
         pdb = corr_drop_pdb()
-        group, config = self.setup_pair(pdb, MiningConfig(min_corr=0.0000001))
-        child = expand(group[0], group[1], pdb, config, candidates=group)
-        assert child is None  # pair correlation is exactly 0, still below
+        ruleset = mine(pdb, MiningConfig(min_corr=0.0000001))
+        # pair correlation is exactly 0, still below
+        assert [r.premise for r in ruleset.positive[0]] == [1, 2]
 
     def test_zero_support_pair_dropped(self):
-        # bits 0 and 1 never co-occur
-        pdb = build_pdb([[1, 1, 1, 5], [2, 2, 4, 4]], m=3)
+        # bits 0 and 1 are both goal-0 candidates but never co-occur
+        pdb = build_pdb([[1, 1, 1, 2, 2, 2], [1, 2, 4, 4, 4, 4]], m=3)
         config = MiningConfig(min_corr=0.1)
-        groups = create_candidates(pdb, config)
-        group = groups[0]
-        assert [r.premise for r in group] == [1]
-        made_up = Rule(2, 1, 0, 0, 2, compute_metrics(0, 2, 4, 8), False)
-        probe = [group[0], made_up]
-        probe.sort(key=lambda r: r.premise)
-        assert expand(probe[0], probe[1], pdb, config, candidates=probe) is None
+        group = create_candidates(pdb, config)[0]
+        assert [(r.premise, r.final) for r in group] == [(1, False), (2, True)]
+        assert support(3, pdb).total == 0
+        assert [r.premise for r in mine(pdb, config).positive[0]] == [1, 2]
 
     def test_surviving_pair_counts_and_metrics(self):
         parts = [[3] * 6 + [1, 2], [3, 1, 2] + [4] * 5]
         pdb = build_pdb(parts, m=3)
         config = MiningConfig(min_corr=0.1)
-        group, config = self.setup_pair(pdb, config)
-        assert [r.premise for r in group] == [1, 2]
-        child = expand(group[0], group[1], pdb, config, candidates=group)
-        assert child is not None
+        assert [r.premise for r in create_candidates(pdb, config)[0]] == [1, 2]
+        child = mine(pdb, config).positive[0][-1]
         assert child.premise == 3
         assert child.premise_len == 2
         assert (child.sup_k, child.sup) == (6, 7)

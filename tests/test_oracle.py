@@ -3,16 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from goalrules import (
-    MiningConfig,
+from goalrules import MiningConfig, Rule, compute_metrics, mine, mine_negative, support
+from goalrules.oracle import (
     SetRecord,
-    compute_metrics,
     from_database,
-    mine,
     oracle_enumerate,
     oracle_mine,
     oracle_support,
-    support,
 )
 from conftest import assert_rulesets_equal, build_pdb, random_pdb
 
@@ -54,19 +51,46 @@ class TestOracleSupport:
 
 
 class TestOracleMineEquivalence:
+    def oracle_negative(self, records, pdb, config):
+        """Negative rules from single-property counts by subset containment."""
+        sizes, total = pdb.partition_sizes, pdb.total
+        singles = [oracle_support({i}, records, len(sizes)) for i in range(len(pdb.catalog))]
+        groups = [[] for _ in sizes]
+        for goal, n_k in enumerate(sizes):
+            if not 0 < n_k < total:
+                continue
+            for i, result in enumerate(singles):
+                if result.total == 0:
+                    continue
+                sup_k = result.per_goal[goal]
+                metrics = compute_metrics(sup_k, result.total, n_k, total, config.weights)
+                if metrics.correlation <= config.neg_corr:
+                    groups[goal].append(Rule(1 << i, 1, goal, sup_k, result.total, metrics, True, True))
+        return groups
+
     def test_matches_engine_on_random_databases(self):
         rng = random.Random(99)
         thresholds = [0.1, 0.25, 0.35, 0.5]
+        negatives = 0
         for trial in range(60):
             pdb = random_pdb(rng)
+            min_corr = rng.choice(thresholds)
             config = MiningConfig(
-                min_corr=rng.choice(thresholds),
+                min_corr=min_corr,
+                corr_stop=rng.choice([c for c in (0.25, 0.5, 0.75, 1.0) if c >= min_corr]),
                 min_f_all=rng.choice([0.0, 0.01, 0.1]),
+                neg_corr=rng.choice([-0.1, -0.35, -0.6, -1.0]),
                 max_premise_len=rng.choice([None, None, 2, 3]),
             )
-            engine_rules = mine(pdb, config)
-            oracle_rules = oracle_mine(from_database(pdb), len(pdb.partition_sizes), config)
+            records = from_database(pdb)
+            negative = mine_negative(pdb, config)
+            engine_rules = mine(pdb, config).with_negative(negative)
+            oracle_rules = oracle_mine(records, len(pdb.partition_sizes), config).with_negative(
+                self.oracle_negative(records, pdb, config)
+            )
             assert_rulesets_equal(engine_rules, oracle_rules)
+            negatives += sum(map(len, negative))
+        assert negatives > 20  # the negative check must bite
 
     def test_corr_drop_database(self):
         pdb = build_pdb([[3, 3, 1, 1, 1, 1, 2, 2, 2, 2], [3, 3, 3, 3] + [4] * 16], m=3)

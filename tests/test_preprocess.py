@@ -226,8 +226,9 @@ class TestEncodeRow:
     def test_unparsable_continuous(self):
         descs = make_descriptors()
         catalog = build_catalog(descs)
-        with pytest.raises(DataError, match="unparsable continuous value 'warm'"):
-            encode_row({"temp": "warm", "color": "red", "label": "no"}, descs, catalog)
+        for cell in ("warm", "1_0"):
+            with pytest.raises(DataError, match=f"unparsable continuous value '{cell}'"):
+                encode_row({"temp": cell, "color": "red", "label": "no"}, descs, catalog)
 
     def test_non_finite_cell(self):
         descs = make_descriptors()
