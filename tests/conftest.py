@@ -64,7 +64,8 @@ def brute_support(premise: int, pdb) -> tuple[int, ...]:
 
 @pytest.fixture
 def pure_scan(monkeypatch):
-    """Force the pure-Python bitmap builder even when numpy is installed."""
+    """Run as if numpy were absent, even when it is installed: the pure-Python
+    bitmap builder, and row-by-row encoding of every preprocessing chunk."""
     import sys
 
     monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_np", None)

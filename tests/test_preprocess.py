@@ -5,7 +5,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from goalrules import (
@@ -226,8 +226,9 @@ class TestEncodeRow:
     def test_unparsable_continuous(self):
         descs = make_descriptors()
         catalog = build_catalog(descs)
-        for cell in ("warm", "1_0"):
-            with pytest.raises(DataError, match=f"unparsable continuous value '{cell}'"):
+        for cell in ("warm", "1_0", "١٥", " 25", "25 ", "\t25", "2 5", "25\x1c"):
+            message = re.escape(f"unparsable continuous value {cell!r} in column 'temp'")
+            with pytest.raises(DataError, match=message):
                 encode_row({"temp": cell, "color": "red", "label": "no"}, descs, catalog)
 
     def test_non_finite_cell(self):
@@ -479,6 +480,11 @@ class TestDumpLoad:
         with pytest.raises(DataError, match="not valid JSON"):
             load_database(path)
 
+    def test_load_missing_file_names_the_path(self, tmp_path):
+        missing = tmp_path / "nope.json"
+        with pytest.raises(DataError, match=re.escape(f"cannot read {missing}: No such file")):
+            load_database(missing)
+
 
 class TestReplicate:
     def test_scales_partitions(self):
@@ -521,14 +527,23 @@ class TestCsv:
         with pytest.raises(DataError, match="does not match description columns"):
             preprocess_csv(db, dbd)
 
-    @pytest.mark.parametrize("extra", [",999", ",", ",1,2"])
-    def test_extra_cells_name_the_row(self, tmp_path, extra):
-        db, dbd = self.write_files(tmp_path, ["5,red,no", "25,blue,yes" + extra])
-        message = f"^row 2: {3 + extra.count(',')} cells, but the header has 3 columns$"
-        with pytest.raises(DataError, match=message):
-            preprocess_csv(db, dbd)
-        with pytest.raises(DataError, match="^row 2: "):
-            preprocess_csv(db, dbd, skip_missing=True)
+    @pytest.mark.parametrize(
+        "first,extra,message",
+        [
+            pytest.param("5,red,no", ",999", "row 2: 4 cells, but the header has 3 columns", id=",999"),
+            pytest.param("5,red,no", ",", "row 2: 4 cells, but the header has 3 columns", id=","),
+            pytest.param("5,red,no", ",1,2", "row 2: 5 cells, but the header has 3 columns", id=",1,2"),
+            # the first bad row is named, even when a later row has too many cells
+            pytest.param(
+                "5,green,no", ",9", "row 1: unknown label 'green' in column 'color'", id="green"
+            ),
+        ],
+    )
+    def test_extra_cells_name_the_row(self, tmp_path, first, extra, message):
+        db, dbd = self.write_files(tmp_path, [first, "25,blue,yes" + extra])
+        for skip_missing in (False, True):
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                preprocess_csv(db, dbd, skip_missing=skip_missing)
 
     def test_missing_files_name_the_path(self, tmp_path):
         db, dbd = self.write_files(tmp_path, ["5,red,no"])
@@ -541,10 +556,101 @@ class TestCsv:
         with pytest.raises(DataError, match=re.escape(f"cannot read {tmp_path}: Is a directory")):
             preprocess_csv(tmp_path, dbd)
 
+    def test_empty_cell_is_missing_even_where_empty_is_a_label(self, tmp_path):
+        doc = variant(col=1, values=["", "red"])
+        db, dbd = self.write_files(tmp_path, ["5,red,no", "25,,yes"])
+        dbd.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="^row 2: missing value in column 'color'$"):
+            preprocess_csv(db, dbd)
+        assert preprocess_csv(db, dbd, skip_missing=True).skipped_rows == 1
+
     def test_read_table_streams_dicts(self, tmp_path):
         db, _ = self.write_files(tmp_path, ["5,red,no"])
         rows = list(read_table(db, make_descriptors()))
         assert rows == [{"temp": "5", "color": "red", "label": "no"}]
+
+
+# one bad cell or bad row, each made from a good row's three cells
+DEFECTS = {
+    "missing cell": lambda cells: [cells[0], "", cells[2]],
+    "short row": lambda cells: cells[:2],
+    "extra cell": lambda cells: cells + ["9"],
+    "bad label": lambda cells: [cells[0], "green", cells[2]],
+    "digit groups": lambda cells: ["1_0", *cells[1:]],
+    "not a number": lambda cells: ["nan", *cells[1:]],
+    "padded number": lambda cells: [" 25", *cells[1:]],
+    "non-ASCII digits": lambda cells: ["١٥", *cells[1:]],
+}
+
+
+@st.composite
+def csv_lines_with_defects(draw):
+    """Data lines of a ``DESC`` table, 1-700 rows so that they span up to
+    three chunks, with one or two defects at random rows and optional
+    blank lines."""
+    rng = draw(st.randoms(use_true_random=False))
+    count = draw(st.integers(1, 700))
+    temps = ["5", "10", "12.5", "-3e1", "20", "25"]
+    rows = [
+        [rng.choice(temps), rng.choice(["red", "blue"]), rng.choice(["no", "yes"])]
+        for _ in range(count)
+    ]
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(0, count - 1))
+        rows[at] = DEFECTS[draw(st.sampled_from(sorted(DEFECTS)))](rows[at])
+    lines = [",".join(row) for row in rows]
+    for at in sorted(draw(st.lists(st.integers(0, count), max_size=4)), reverse=True):
+        lines.insert(at, "")
+    return lines
+
+
+def encode_lines_row_by_row(lines, descriptors, skip_missing):
+    """Reference for ``preprocess_csv``: each non-blank line split on commas,
+    checked for extra cells and encoded alone with ``encode_row``. Returns
+    ``(partitions, skipped_rows)``, or the error text of the first bad row."""
+    catalog = build_catalog(descriptors)
+    names = [d.name for d in descriptors]
+    buckets = [[], []]
+    skipped = 0
+    for number, line in enumerate(filter(None, lines), start=1):
+        cells = line.split(",")
+        if len(cells) > len(names):
+            return f"row {number}: {len(cells)} cells, but the header has {len(names)} columns"
+        try:
+            code, goal = encode_row(dict(zip(names, cells)), descriptors, catalog)
+        except MissingValueError as exc:
+            if skip_missing:
+                skipped += 1
+                continue
+            return f"row {number}: {exc}"
+        except DataError as exc:
+            return f"row {number}: {exc}"
+        buckets[goal].append(code)
+    if not any(buckets):
+        return "no records"
+    return tuple(map(tuple, buckets)), skipped
+
+
+class TestChunkedCsv:
+    @pytest.mark.parametrize("numpy_absent", [False, True], ids=["numpy", "pure_scan"])
+    @given(lines=csv_lines_with_defects())
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_matches_row_by_row_reference(self, request, tmp_path_factory, numpy_absent, lines):
+        if numpy_absent:
+            request.getfixturevalue("pure_scan")
+        db, dbd = TestCsv().write_files(tmp_path_factory.mktemp("chunks"), lines)
+        descriptors = make_descriptors()
+        for skip_missing in (False, True):
+            expected = encode_lines_row_by_row(lines, descriptors, skip_missing)
+            if isinstance(expected, str):
+                with pytest.raises(DataError) as info:
+                    preprocess_csv(db, dbd, skip_missing=skip_missing)
+                assert str(info.value) == expected
+            else:
+                pdb = preprocess_csv(db, dbd, skip_missing=skip_missing)
+                assert (pdb.partitions, pdb.skipped_rows) == expected
 
 
 class TestBitmaps:
@@ -577,3 +683,15 @@ class TestBitmaps:
         monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_np", None)
         pure = PartitionedDatabase(parts, ("a", "b", "c"), catalog).bitmaps
         assert pure == built
+
+
+@pytest.mark.usefixtures("pure_scan")
+class TestPreprocessRowByRow(TestPreprocess):
+    """``TestPreprocess`` without numpy, where every chunk is encoded row by row."""
+
+    test_encode_decode_roundtrip = None  # encode_row alone, which has no numpy path
+
+
+@pytest.mark.usefixtures("pure_scan")
+class TestCsvRowByRow(TestCsv):
+    """``TestCsv`` without numpy, where every chunk is encoded row by row."""
