@@ -7,10 +7,13 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from typing import Sequence, TextIO
 
 from .datasets import save_tables, synthetic_tables
 from .engine import MiningConfig, Rule, RuleSet, check_threads, mine, mine_negative
@@ -20,10 +23,10 @@ from .preprocess import (
     PartitionedDatabase,
     catalog_to_list,
     database_to_dict,
-    decode,
     dump_database,
     preprocess_csv,
     replicate,
+    set_bits,
 )
 
 
@@ -98,27 +101,14 @@ def _add_mining_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _rule_json(rule: Rule, pdb: PartitionedDatabase) -> dict:
-    return {
-        "premise": decode(rule.premise, pdb.catalog),
-        "goal": pdb.goal_labels[rule.goal],
-        "sup_k": rule.sup_k,
-        "sup": rule.sup,
-        "f_g": rule.metrics.f_g,
-        "f_all": rule.metrics.f_all,
-        "conf": rule.metrics.confidence,
-        "lift": rule.metrics.lift,
-        "corr": rule.metrics.correlation,
-        "q": rule.metrics.quality,
-        "final": rule.final,
-        "negative": rule.negative,
-    }
+def _premise_names(code: int, names: list[str]) -> list[str]:
+    """The entries of ``names`` at the premise's set bits, in bit order."""
+    return [names[i] for i in set_bits(code)]
 
 
-def _rule_head(rule: Rule, pdb: PartitionedDatabase) -> str:
-    premise = ",".join(decode(rule.premise, pdb.catalog))
-    goal = pdb.goal_labels[rule.goal]
-    return f"{premise} => {'not ' if rule.negative else ''}{goal}"
+def _rule_head(rule: Rule, names: list[str], goal_labels: Sequence[str]) -> str:
+    premise = ",".join(_premise_names(rule.premise, names))
+    return f"{premise} => {'not ' if rule.negative else ''}{goal_labels[rule.goal]}"
 
 
 def format_rules_table(ruleset: RuleSet, pdb: PartitionedDatabase) -> str:
@@ -127,10 +117,11 @@ def format_rules_table(ruleset: RuleSet, pdb: PartitionedDatabase) -> str:
         f"{'f_g':>6} {'f_all':>6} {'conf':>6} {'lift':>6} {'corr':>7} {'q':>7} final"
     )
     lines = [header, "-" * len(header)]
+    names = pdb.catalog.names()
     for rule in ruleset.all_positive() + ruleset.all_negative():
         m = rule.metrics
         lines.append(
-            f"{_rule_head(rule, pdb):<44} {rule.sup_k:>7} {rule.sup:>7} "
+            f"{_rule_head(rule, names, pdb.goal_labels):<44} {rule.sup_k:>7} {rule.sup:>7} "
             f"{m.f_g:>6.3f} {m.f_all:>6.3f} {m.confidence:>6.3f} {m.lift:>6.3f} "
             f"{m.correlation:>7.3f} {m.quality:>7.3f} {'yes' if rule.final else 'no'}"
         )
@@ -138,20 +129,18 @@ def format_rules_table(ruleset: RuleSet, pdb: PartitionedDatabase) -> str:
 
 
 def format_rules_csv(ruleset: RuleSet, pdb: PartitionedDatabase) -> str:
-    import csv as _csv
-    import io
-
     buffer = io.StringIO()
-    writer = _csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(
         ["premise", "goal", "premise_len", "sup_k", "sup",
          "f_g", "f_all", "conf", "lift", "corr", "q", "final", "negative"]
     )
+    names = pdb.catalog.names()
     for rule in ruleset.all_positive() + ruleset.all_negative():
         m = rule.metrics
         writer.writerow(
             [
-                "+".join(decode(rule.premise, pdb.catalog)),
+                "+".join(_premise_names(rule.premise, names)),
                 pdb.goal_labels[rule.goal],
                 rule.premise_len,
                 rule.sup_k,
@@ -169,19 +158,68 @@ def format_rules_csv(ruleset: RuleSet, pdb: PartitionedDatabase) -> str:
     return buffer.getvalue()
 
 
+def write_mining_json(
+    out: TextIO,
+    ruleset: RuleSet,
+    pdb: PartitionedDatabase,
+    config: MiningConfig,
+    report: RunReport,
+) -> None:
+    """Write the mining document to ``out``, byte for byte what
+    ``json.dump(doc, out, indent=2)`` plus a newline writes, one rule at a
+    time.
+
+    The small parts go through ``json.dumps`` and are indented one level
+    more by their newlines, which is exact because JSON text holds no raw
+    newline. Each rule comes from one template: names and goal labels are
+    escaped once, ints print as ``int`` does and floats as ``float.__repr__``
+    does, which is ``json``'s spelling for every finite float (weights with
+    a finite sum keep every quality finite).
+    """
+
+    def nested(value) -> str:
+        return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+    names = [json.dumps(name) for name in pdb.catalog.names()]
+    goals = [json.dumps(label) for label in pdb.goal_labels]
+    out.write(
+        f'{{\n  "config": {nested(_config_dict(config))},'
+        f'\n  "goals": {nested(list(pdb.goal_labels))},'
+        f'\n  "catalog": {nested(catalog_to_list(pdb.catalog))},'
+        f'\n  "rules": ['
+    )
+    separator, closing = "\n", "]"
+    for rule in ruleset.all_positive() + ruleset.all_negative():
+        m = rule.metrics
+        premise = ",\n        ".join(_premise_names(rule.premise, names))
+        premise = f"[\n        {premise}\n      ]" if premise else "[]"
+        out.write(
+            f"{separator}    {{"
+            f'\n      "premise": {premise},'
+            f'\n      "goal": {goals[rule.goal]},'
+            f'\n      "sup_k": {rule.sup_k},'
+            f'\n      "sup": {rule.sup},'
+            f'\n      "f_g": {m.f_g!r},'
+            f'\n      "f_all": {m.f_all!r},'
+            f'\n      "conf": {m.confidence!r},'
+            f'\n      "lift": {m.lift!r},'
+            f'\n      "corr": {m.correlation!r},'
+            f'\n      "q": {m.quality!r},'
+            f'\n      "final": {"true" if rule.final else "false"},'
+            f'\n      "negative": {"true" if rule.negative else "false"}'
+            f"\n    }}"
+        )
+        separator, closing = ",\n", "\n  ]"
+    out.write(f'{closing},\n  "report": {nested(asdict(report))}\n}}\n')
+
+
 def mining_output_json(
     ruleset: RuleSet, pdb: PartitionedDatabase, config: MiningConfig, report: RunReport
-) -> dict:
-    return {
-        "config": _config_dict(config),
-        "goals": list(pdb.goal_labels),
-        "catalog": catalog_to_list(pdb.catalog),
-        "rules": [
-            _rule_json(rule, pdb)
-            for rule in ruleset.all_positive() + ruleset.all_negative()
-        ],
-        "report": asdict(report),
-    }
+) -> str:
+    """The whole document ``write_mining_json`` writes, as one string."""
+    buffer = io.StringIO()
+    write_mining_json(buffer, ruleset, pdb, config, report)
+    return buffer.getvalue()
 
 
 def _report_text(report: RunReport) -> str:
@@ -246,8 +284,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         negative_counts=ruleset.negative_counts(),
     )
     if args.format == "json":
-        json.dump(mining_output_json(ruleset, pdb, config, report), sys.stdout, indent=2)
-        print()
+        write_mining_json(sys.stdout, ruleset, pdb, config, report)
     elif args.format == "csv":
         sys.stdout.write(format_rules_csv(ruleset, pdb))
         print(_report_text(report), file=sys.stderr)

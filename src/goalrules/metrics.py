@@ -44,6 +44,9 @@ class CriteriaWeights:
             raise ConfigError("criteria weights must be finite and non-negative")
         if not any(w > 0 for w in weights):
             raise ConfigError("at least one criteria weight must be positive")
+        # quality is at most this sum in magnitude, so a finite sum keeps it finite
+        if sum(weights) == inf:
+            raise ConfigError("criteria weights must have a finite sum")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p1, self.p2, self.p3, self.p4)

@@ -1,15 +1,31 @@
+import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from goalrules import load_database
-from goalrules.cli import main
+from conftest import build_pdb, random_pdb
+from goalrules import (
+    MiningConfig,
+    PartitionedDatabase,
+    Property,
+    PropertyCatalog,
+    load_database,
+    mine,
+    mine_negative,
+    preprocess_csv,
+)
+from goalrules.cli import RunReport, main, mining_output_json
+from goalrules.metrics import CriteriaWeights
 
 DESC = {
     "columns": [
@@ -241,7 +257,10 @@ class TestMineCommand:
         assert main([command, "--db", missing, "--dbd", missing, "--threads", "0"]) == 2
         assert "thread count" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("weights", ["nan,1,1,1", "1,inf,1,1", "1,1,-inf,1"])
+    # the last weights are each finite, but q could reach their sum, which is inf
+    @pytest.mark.parametrize(
+        "weights", ["nan,1,1,1", "1,inf,1,1", "1,1,-inf,1", "1e308,1e308,1e308,1e308"]
+    )
     def test_non_finite_weights_are_config_error(self, table, capsys, weights):
         db, dbd = table
         argv = ["mine", "--db", db, "--dbd", dbd, "--format", "json", "--weights", weights]
@@ -255,6 +274,154 @@ class TestMineCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["mine", "--db", db, "--dbd", dbd, "--seed", "1"])
         assert excinfo.value.code == 2
+
+
+def reference_json(ruleset, pdb, config, report) -> str:
+    """The mining document built as one dict per rule and written with
+    ``json.dumps(indent=2)``: the layout the streamed output must match."""
+    m = len(pdb.catalog)
+    doc = {
+        "config": {
+            "min_corr": config.min_corr,
+            "corr_stop": config.corr_stop,
+            "min_f_all": config.min_f_all,
+            "neg_corr": config.neg_corr,
+            "weights": list(config.weights.as_tuple()),
+            "max_premise_len": config.max_premise_len,
+        },
+        "goals": list(pdb.goal_labels),
+        "catalog": [
+            {
+                "index": p.index,
+                "name": p.name,
+                "column": p.column,
+                "category": p.category,
+                "full_name": p.full_name,
+            }
+            for p in pdb.catalog
+        ],
+        "rules": [
+            {
+                "premise": [pdb.catalog[i].name for i in range(m) if rule.premise >> i & 1],
+                "goal": pdb.goal_labels[rule.goal],
+                "sup_k": rule.sup_k,
+                "sup": rule.sup,
+                "f_g": rule.metrics.f_g,
+                "f_all": rule.metrics.f_all,
+                "conf": rule.metrics.confidence,
+                "lift": rule.metrics.lift,
+                "corr": rule.metrics.correlation,
+                "q": rule.metrics.quality,
+                "final": rule.final,
+                "negative": rule.negative,
+            }
+            for rule in ruleset.all_positive() + ruleset.all_negative()
+        ],
+        "report": dataclasses.asdict(report),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def mine_run(pdb, config, negative, dataset="data.csv", seconds=(0.25, 1.5)):
+    ruleset = mine(pdb, config)
+    if negative:
+        ruleset = ruleset.with_negative(mine_negative(pdb, config))
+    report = RunReport(
+        dataset=dataset,
+        records=pdb.total,
+        partition_sizes=list(pdb.partition_sizes),
+        threads=1,
+        preprocess_seconds=seconds[0],
+        mine_seconds=seconds[1],
+        positive_counts=ruleset.positive_counts(),
+        negative_counts=ruleset.negative_counts(),
+    )
+    return ruleset, report
+
+
+# any character, with JSON's escapes, control characters and non-ASCII favoured
+ODD_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x07\n\x1f\x7f\u00e9\u6f22\U0001f600\ud800'), st.characters()),
+    max_size=6,
+)
+
+
+class TestJsonEmitter:
+    @pytest.mark.parametrize(
+        "config, negative, rules",
+        [
+            (MiningConfig(), True, (6, 4)),
+            (MiningConfig(max_premise_len=1), True, (4, 4)),
+            (MiningConfig(min_corr=1.0), False, (0, 0)),
+            (MiningConfig(min_corr=1.0), True, (0, 4)),
+            (MiningConfig(weights=CriteriaWeights(0.5, 0, 3, 1e-300)), False, (6, 0)),
+        ],
+    )
+    def test_matches_json_dumps(self, table, config, negative, rules):
+        db, dbd = table
+        pdb = preprocess_csv(db, dbd)
+        ruleset, report = mine_run(pdb, config, negative, dataset=db)
+        counts = (len(ruleset.all_positive()), len(ruleset.all_negative()))
+        assert counts == rules
+        text = mining_output_json(ruleset, pdb, config, report)
+        assert text == reference_json(ruleset, pdb, config, report)
+        if rules == (0, 0):
+            assert '"rules": [],' in text
+
+    def test_more_than_64_properties(self):
+        # sparse records over 70 properties, so premises reach bits 64..69
+        rng = random.Random(5)
+        parts = [
+            [(1 << rng.randrange(60, 70)) | (1 << rng.randrange(70)) | (1 << 64 + g) for _ in range(30)]
+            for g in range(3)
+        ]
+        pdb = build_pdb(parts, 70)
+        config = MiningConfig(min_corr=0.2)
+        ruleset, report = mine_run(pdb, config, negative=True)
+        assert any(rule.premise >> 64 for rule in ruleset.all_positive())
+        assert any(rule.premise >> 64 for rule in ruleset.all_negative())
+        text = mining_output_json(ruleset, pdb, config, report)
+        assert text == reference_json(ruleset, pdb, config, report)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        negative=st.booleans(),
+        max_len=st.sampled_from([None, 1, 2]),
+        dataset=ODD_TEXT,
+        seconds=st.tuples(st.floats(0, 1e6), st.floats(0, 1e6)),
+        data=st.data(),
+    )
+    def test_escapes_match_json_dumps(self, seed, negative, max_len, dataset, seconds, data):
+        base = random_pdb(random.Random(seed))
+        m = len(base.catalog)
+        names = data.draw(st.lists(ODD_TEXT, min_size=m, max_size=m))
+        labels = data.draw(st.lists(ODD_TEXT, min_size=len(base.goal_labels),
+                                    max_size=len(base.goal_labels)))
+        catalog = PropertyCatalog(
+            tuple(Property(i, name, name[::-1], i % 3, f"{name} = {i}") for i, name in enumerate(names))
+        )
+        pdb = PartitionedDatabase(base.partitions, tuple(labels), catalog)
+        config = MiningConfig(min_corr=0.2, max_premise_len=max_len)
+        ruleset, report = mine_run(pdb, config, negative, dataset, seconds)
+        text = mining_output_json(ruleset, pdb, config, report)
+        assert text == reference_json(ruleset, pdb, config, report)
+        assert text.isascii()
+
+    def test_stdout_stream_matches_document(self, table, tmp_path):
+        db, dbd = table
+        out_path = tmp_path / "out.json"
+        argv = ["mine", "--db", db, "--dbd", dbd, "--format", "json", "--negative"]
+        with open(out_path, "w") as out, contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        streamed = out_path.read_bytes()
+        spans = json.loads(streamed)["report"]
+        # the same run in-process, with the streamed run's two timing fields
+        pdb = preprocess_csv(db, dbd)
+        config = MiningConfig()
+        seconds = (spans["preprocess_seconds"], spans["mine_seconds"])
+        ruleset, report = mine_run(pdb, config, negative=True, dataset=db, seconds=seconds)
+        assert streamed == mining_output_json(ruleset, pdb, config, report).encode()
 
 
 class TestBenchCommand:

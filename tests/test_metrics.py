@@ -118,6 +118,12 @@ class TestWeights:
         with pytest.raises(ConfigError, match="finite"):
             CriteriaWeights(1.0, bad, 1.0, 1.0)
 
+    @pytest.mark.parametrize("weights", [(1e308,) * 4, (0.0, 1.7e308, 1.7e308, 0.0)])
+    def test_overflowing_sum_rejected(self, weights):
+        # quality could reach the sum of the weights, which overflows to inf
+        with pytest.raises(ConfigError, match="finite sum"):
+            CriteriaWeights(*weights)
+
     def test_all_zero_rejected(self):
         with pytest.raises(ConfigError, match="at least one"):
             CriteriaWeights(0.0, 0.0, 0.0, 0.0)
