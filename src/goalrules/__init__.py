@@ -23,7 +23,6 @@ from .preprocess import (
     preprocess_csv,
     read_table,
     replicate,
-    validate_descriptors,
 )
 from .metrics import (
     CriteriaWeights,
@@ -80,5 +79,4 @@ __all__ = [
     "recommended_min_correlation",
     "replicate",
     "support",
-    "validate_descriptors",
 ]

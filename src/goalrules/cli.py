@@ -1,7 +1,8 @@
 """Command-line interface: encode tables, mine rules, benchmark scaling,
 and generate synthetic demo data.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 data error.
+Exit codes: 0 success, 1 ``bench`` invariant broken, 2 usage or configuration
+error, 3 data error, 141 standard output closed early by its reader.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -403,7 +405,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        # stdout's buffer is flushed again at exit: send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141  # what a shell reports for a process SIGPIPE killed
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -130,17 +130,6 @@ def save_tables(rows: Sequence[dict], description: dict, db_path, dbd_path) -> N
         handle.write("\n")
 
 
-def write_diabetes_files(directory) -> tuple[str, str]:
-    """Materialize the demo table for CLI use; returns (csv path, description path)."""
-    import os
-
-    rows, description = diabetes_tables()
-    db_path = os.path.join(directory, "diabetes.csv")
-    dbd_path = os.path.join(directory, "diabetes.dbd.json")
-    save_tables(rows, description, db_path, dbd_path)
-    return db_path, dbd_path
-
-
 def synthetic_tables(
     rows: int = 300,
     continuous: int = 3,

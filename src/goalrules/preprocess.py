@@ -12,7 +12,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice, zip_longest
 from math import isfinite
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -81,6 +81,8 @@ class ColumnDescriptor:
                 )
             if len(set(self.values)) != len(self.values):
                 raise DataError(f"column {self.name!r}: labels must be distinct")
+            if any(v != v.encode("utf-8", "replace").decode() for v in self.values):
+                raise DataError(f"column {self.name!r}: labels must be valid Unicode text")
 
     @property
     def is_target(self) -> bool:
@@ -261,10 +263,13 @@ def _plain(text: str) -> bool:
 
 
 def _encode(cells: Sequence, columns: Sequence[tuple]) -> tuple[int, int]:
-    """Encode one row, given as its cells in column order."""
+    """Encode one row, given as its cells in column order. A row with more
+    cells than columns is an error; the cells a short row lacks are missing."""
+    if len(cells) > len(columns):
+        raise DataError(f"{len(cells)} cells, but the header has {len(columns)} columns")
     code = 0
     goal = -1
-    for raw, (name, bounds, labels, codes) in zip(cells, columns, strict=True):
+    for raw, (name, bounds, labels, codes) in zip_longest(cells, columns):
         if raw is None or raw == "":
             raise MissingValueError(f"missing value in column {name!r}")
         if bounds is not None:
@@ -300,9 +305,17 @@ def encode_row(
     Exactly one property per input column is set, so the code's popcount
     equals the number of non-target columns. A continuous value falls in
     half-open bins: bin 0 is everything below the first boundary, and a
-    value equal to a boundary belongs to the bin above it.
+    value equal to a boundary belongs to the bin above it. Extra cells under
+    the key ``None``, where ``csv.DictReader`` puts them, are an error.
     """
-    return _encode([row.get(d.name) for d in descriptors], _compile(descriptors, catalog))
+    cells = _row_cells(row, [d.name for d in descriptors])
+    return _encode(cells, _compile(descriptors, catalog))
+
+
+def _row_cells(row: Mapping[str, str], names: Sequence[str]) -> list:
+    """A mapping row's cells in column order, then its extra cells under the
+    key ``None``, so that ``_encode`` sees a long row's true width."""
+    return [*map(row.get, names), *row.get(None, ())]
 
 
 def _chunk_tables(columns: Sequence[tuple], m: int) -> list[tuple]:
@@ -322,14 +335,15 @@ def _chunk_tables(columns: Sequence[tuple], m: int) -> list[tuple]:
 
 def _encode_chunk(chunk: Sequence[Sequence], tables: Sequence[tuple], goal_count: int):
     """Encode a chunk of rows one column at a time, returning each goal's
-    codes in row order, or ``None`` when any cell would make ``_encode``
-    raise or skip the row: missing, ``""``, not a plain number, unparsable,
-    non-finite, or an unknown label."""
+    codes in row order, or ``None`` when any row would make ``_encode``
+    raise or skip it: a row not exactly header-wide, or a cell that is
+    missing, ``""``, not a plain number, unparsable, non-finite, or an
+    unknown label."""
     size = len(chunk)
     code = 0  # an array from the first input column on
     goals = None
     try:
-        for cells, (bounds, labels, lookup) in zip(zip(*chunk), tables):
+        for cells, (bounds, labels, lookup) in zip(zip(*chunk, strict=True), tables, strict=True):
             if bounds is not None:
                 if not _plain("".join(cells)):
                     return None
@@ -344,7 +358,7 @@ def _encode_chunk(chunk: Sequence[Sequence], tables: Sequence[tuple], goal_count
                 goals = category
             else:
                 code |= lookup[category]
-    except (TypeError, ValueError):  # a None cell or label, or a cell float() rejects
+    except (TypeError, ValueError):  # a None cell or label, a bad float, a row of another width
         return None
     return [code[goals == k].tolist() for k in range(goal_count)]
 
@@ -421,25 +435,6 @@ def _bitmaps_pure(part: Sequence[int], m: int) -> tuple[int, ...]:
     return tuple(int.from_bytes(column, "little") for column in columns)
 
 
-def _chunks(rows: Iterable[Sequence]) -> Iterator[list]:
-    """Consecutive lists of ``_CHUNK_ROWS`` rows, the last one shorter. When
-    reading a row fails, the rows read before it come out first, so that an
-    error in one of them is the one reported."""
-    chunk = []
-    try:
-        for row in rows:
-            chunk.append(row)
-            if len(chunk) == _CHUNK_ROWS:
-                yield chunk
-                chunk = []
-    except Exception:
-        if chunk:
-            yield chunk
-        raise
-    if chunk:
-        yield chunk
-
-
 def _preprocess_cells(
     rows: Iterable[Sequence], descriptors: Sequence[ColumnDescriptor], skip_missing: bool
 ) -> PartitionedDatabase:
@@ -451,7 +446,8 @@ def _preprocess_cells(
     buckets: list[list[int]] = [[] for _ in target.values]
     skipped = 0
     first = 1
-    for chunk in _chunks(rows):
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
         parts = None if tables is None else _encode_chunk(chunk, tables, len(buckets))
         if parts is not None:
             for bucket, part in zip(buckets, parts):
@@ -460,12 +456,10 @@ def _preprocess_cells(
             for row_number, cells in enumerate(chunk, start=first):
                 try:
                     code, goal = _encode(cells, columns)
-                except MissingValueError as exc:
-                    if skip_missing:
+                except DataError as exc:
+                    if skip_missing and isinstance(exc, MissingValueError):
                         skipped += 1
                         continue
-                    raise DataError(f"row {row_number}: {exc}") from exc
-                except DataError as exc:
                     raise DataError(f"row {row_number}: {exc}") from exc
                 buckets[goal].append(code)
         first += len(chunk)
@@ -486,14 +480,16 @@ def preprocess(
     skip_missing: bool = False,
 ) -> PartitionedDatabase:
     """Encode each row with the compiled description and append its code to
-    its goal's partition, keeping input order within a goal.
+    its goal's partition, keeping input order within a goal. Rows are laid
+    out as ``csv.DictReader`` yields them: extra cells under the key
+    ``None`` make a row an error, also under ``skip_missing``.
 
     Rows are encoded in chunks of 256: when numpy is present, a chunk's
     continuous columns are parsed with ``float()`` and binned with
     ``searchsorted``, its other columns looked up in the label dicts, and the
-    codes OR'd column by column. A chunk holding any missing or bad cell is
-    encoded again row by row, as is every chunk without numpy, so results
-    and error messages do not depend on the chunking.
+    codes OR'd column by column. A chunk holding a bad row (a missing or bad
+    cell, or another width) is encoded again row by row, as is every chunk
+    without numpy, so results and error messages do not depend on chunking.
 
     Rows with missing cells are a hard error naming the row and column
     unless ``skip_missing`` is set, in which case they are dropped and
@@ -501,7 +497,7 @@ def preprocess(
     before any row is read.
     """
     names = [d.name for d in descriptors]
-    cells = ([row.get(name) for name in names] for row in rows)
+    cells = (_row_cells(row, names) for row in rows)
     return _preprocess_cells(cells, descriptors, skip_missing)
 
 
@@ -512,51 +508,59 @@ def _open_input(path, **kwargs):
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _read_text(path) -> str:
+    with _open_input(path) as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_cells(path, descriptors: Sequence[ColumnDescriptor]) -> Iterator[list]:
-    """Stream CSV rows as cell lists, after checking the header against the
-    description. Blank lines are skipped and not counted, short rows are
-    padded with ``None`` (missing cells), and a row with more cells than the
-    header is an error naming the row."""
+    """The CSV's non-blank rows as ``csv.reader`` reads them, after the
+    header check; a syntax error names its line. An undecodable byte reads
+    as a lone surrogate, a cell the encoder rejects naming row and column."""
     expected = [d.name for d in descriptors]
-    width = len(expected)
-    with _open_input(path, newline="") as handle:
+    with _open_input(path, newline="", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != expected:
-            raise DataError(f"CSV header {header} does not match description columns {expected}")
-        row_number = 0
-        for row in reader:
-            if not row:
-                continue
-            row_number += 1
-            if len(row) > width:
+        try:
+            header = next(reader, None)
+            if header != expected:
                 raise DataError(
-                    f"row {row_number}: {len(row)} cells, but the header has {width} columns"
+                    f"CSV header {header} does not match description columns {expected}"
                 )
-            if len(row) < width:
-                row += [None] * (width - len(row))
-            yield row
+            yield from filter(None, reader)
+        except csv.Error as exc:
+            raise DataError(f"line {reader.line_num}: {exc}") from exc
 
 
 def read_table(path, descriptors: Sequence[ColumnDescriptor]) -> Iterator[dict[str, str]]:
-    """Stream CSV rows as dicts keyed by column name, read and checked as
-    ``preprocess_csv`` reads them: the header must match the description,
-    blank lines are skipped, a short row's absent cells are ``None``, and a
-    row with more cells than the header is an error naming the row."""
+    """Stream CSV rows as dicts keyed by column name, read as
+    ``preprocess_csv`` reads them and laid out as ``csv.DictReader`` lays
+    them out: the header must match the description, blank lines are
+    skipped, a short row's absent cells are ``None``, and a long row's extra
+    cells are listed under the key ``None``, which ``preprocess`` rejects."""
     names = [d.name for d in descriptors]
-    return (dict(zip(names, cells)) for cells in _read_cells(path, descriptors))
+    width = len(names)
+    for cells in _read_cells(path, descriptors):
+        row = dict(zip(names, cells))
+        if len(cells) < width:
+            row.update(dict.fromkeys(names[len(cells) :]))
+        elif len(cells) > width:
+            row[None] = cells[width:]
+        yield row
 
 
 def preprocess_csv(db_path, dbd_path, *, skip_missing: bool = False) -> PartitionedDatabase:
     """Read a description file and a CSV table, returning the encoded database.
 
-    The CSV is read with ``csv.reader`` and encoded as ``preprocess`` does,
-    in chunks of 256 rows; a row read with more cells than the header is
-    reported only after the rows before it are encoded, so the first bad
-    row is the one named.
+    The reader only checks the header and drops blank lines; the rows are
+    encoded as ``preprocess`` encodes them, and the first bad row is named.
+    A CSV syntax error, such as a field over ``csv.field_size_limit()``, is
+    named by line as it is read, even when an earlier row of its 256-row
+    chunk is also bad.
     """
-    with _open_input(dbd_path) as handle:
-        descriptors = parse_description(handle.read())
+    descriptors = parse_description(_read_text(dbd_path))
     return _preprocess_cells(_read_cells(db_path, descriptors), descriptors, skip_missing)
 
 
@@ -631,11 +635,10 @@ def dump_database(pdb: PartitionedDatabase, path) -> None:
 
 
 def load_database(path) -> PartitionedDatabase:
-    with _open_input(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"database dump is not valid JSON: {exc}") from exc
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"database dump is not valid JSON: {exc}") from exc
     return database_from_dict(doc)
 
 

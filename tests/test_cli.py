@@ -25,6 +25,7 @@ from goalrules import (
     preprocess_csv,
 )
 from goalrules.cli import RunReport, main, mining_output_json
+from goalrules.datasets import save_tables, synthetic_tables
 from goalrules.metrics import CriteriaWeights
 
 DESC = {
@@ -469,3 +470,37 @@ class TestSynthCommand:
         dbd = tmp_path / "s.dbd.json"
         code = main(["synth", "--rows", "0", "--out-db", str(db), "--out-dbd", str(dbd)])
         assert code == 2
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "command,rows,continuous",
+        [
+            pytest.param(
+                ["mine", "--negative", "--format", "json", "--min-corr", "0.1"], 6000, 10,
+                id="mine-json",
+            ),
+            pytest.param(["preprocess"], 6000, 10, id="preprocess"),
+            # about 3 kB, which stay in stdout's buffer until the flush at exit
+            pytest.param(["mine", "--format", "json"], 40, 1, id="mine-json-buffered"),
+        ],
+    )
+    def test_reader_closing_stdout_ends_quietly(self, tmp_path, command, rows, continuous):
+        """``goalrules ... | head``: status 141 and no traceback, whether a
+        write fails first or only the flush at exit."""
+        import goalrules
+
+        db, dbd = tmp_path / "s.csv", tmp_path / "s.dbd.json"
+        table, description = synthetic_tables(rows, continuous, categorical=1, seed=1)
+        save_tables(table, description, db, dbd)
+        # Python's default buffered stdout, whatever this process was given
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(goalrules.__file__).parent.parent)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "goalrules.cli", *command, "--db", str(db), "--dbd", str(dbd)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        child.stdout.close()  # long before the child has mined or encoded anything
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 141
+        assert b"Traceback" not in err and b"Exception ignored" not in err

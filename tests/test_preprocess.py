@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import random
@@ -28,6 +29,7 @@ from goalrules import (
     replicate,
     support,
 )
+from goalrules.cli import main
 
 DESC = {
     "columns": [
@@ -113,6 +115,13 @@ class TestParseDescription:
     def test_duplicate_labels(self):
         doc = variant(col=1, values=["red", "red"])
         with pytest.raises(DataError, match="distinct"):
+            make_descriptors(doc)
+
+    @pytest.mark.parametrize("col", [1, 2])
+    def test_lone_surrogate_label(self, col):
+        # what an undecodable CSV byte reads as: no label may match it
+        doc = variant(col=col, values=["\udcff", "blue"])
+        with pytest.raises(DataError, match="labels must be valid Unicode text"):
             make_descriptors(doc)
 
     def test_duplicate_column_names(self):
@@ -252,6 +261,12 @@ class TestEncodeRow:
             row.pop("color")
         with pytest.raises(MissingValueError, match="column 'color'"):
             encode_row(row, descs, catalog)
+
+    def test_extra_cells_under_none_are_an_error(self):
+        descs = make_descriptors()
+        row = {"temp": "25", "color": "blue", "label": "yes", None: ["9"]}
+        with pytest.raises(DataError, match="^4 cells, but the header has 3 columns$"):
+            encode_row(row, descs, build_catalog(descs))
 
     def test_target_only_description(self):
         descs = [ColumnDescriptor("label", "target", "Y", 2, ("no", "yes"), "label")]
@@ -480,6 +495,12 @@ class TestDumpLoad:
         with pytest.raises(DataError, match="not valid JSON"):
             load_database(path)
 
+    def test_load_rejects_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"records": ["\xff"]}')
+        with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: .*0xff"):
+            load_database(path)
+
     def test_load_missing_file_names_the_path(self, tmp_path):
         missing = tmp_path / "nope.json"
         with pytest.raises(DataError, match=re.escape(f"cannot read {missing}: No such file")):
@@ -569,13 +590,79 @@ class TestCsv:
         rows = list(read_table(db, make_descriptors()))
         assert rows == [{"temp": "5", "color": "red", "label": "no"}]
 
+    def test_read_table_lays_rows_out_as_dict_reader(self, tmp_path):
+        db, _ = self.write_files(tmp_path, ["5,red,no,9,8", "", "25,blue"])
+        rows = list(read_table(db, make_descriptors()))
+        assert rows == [
+            {"temp": "5", "color": "red", "label": "no", None: ["9", "8"]},
+            {"temp": "25", "color": "blue", "label": None},
+        ]
+        with open(db, newline="") as handle:
+            assert rows == list(csv.DictReader(handle))
 
-# one bad cell or bad row, each made from a good row's three cells
+    LONG_ROW = "^row 2: 4 cells, but the header has 3 columns$"
+
+    @pytest.mark.parametrize("skip_missing", [False, True])
+    def test_dict_reader_long_row_names_the_row(self, tmp_path, skip_missing):
+        db, _ = self.write_files(tmp_path, ["5,red,no", "25,blue,yes,EXTRA"])
+        with open(db, newline="") as handle, pytest.raises(DataError, match=self.LONG_ROW):
+            preprocess(csv.DictReader(handle), make_descriptors(), skip_missing=skip_missing)
+
+    @pytest.mark.parametrize("skip_missing", [False, True])
+    def test_read_table_long_row_names_the_row(self, tmp_path, skip_missing):
+        db, _ = self.write_files(tmp_path, ["5,red,no", "25,blue,yes,EXTRA"])
+        rows = read_table(db, make_descriptors())
+        with pytest.raises(DataError, match=self.LONG_ROW):
+            preprocess(rows, make_descriptors(), skip_missing=skip_missing)
+
+    @pytest.mark.parametrize("first", ["5,red,no", "5,green,no"])
+    def test_csv_syntax_error_names_its_line(self, tmp_path, capsys, first):
+        # a field over csv.field_size_limit(), reported by line even when
+        # an earlier row of its chunk has an unknown label
+        db, dbd = self.write_files(tmp_path, [first, "x" * 131_073 + ",red,no", "25,blue,yes"])
+        message = "line 3: field larger than field limit (131072)"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            preprocess_csv(db, dbd)
+        assert main(["preprocess", "--db", str(db), "--dbd", str(dbd)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            pytest.param(
+                b"25,bl\xffue,yes", "row 2: unknown label 'bl\\udcffue' in column 'color'", id="label"
+            ),
+            pytest.param(
+                b"2\xff5,blue,yes",
+                "row 2: unparsable continuous value '2\\udcff5' in column 'temp'",
+                id="number",
+            ),
+        ],
+    )
+    def test_undecodable_byte_names_row_and_column(self, tmp_path, capsys, line, message):
+        db, dbd = self.write_files(tmp_path, ["5,red,no"])
+        db.write_bytes(db.read_bytes() + line + b"\n")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            preprocess_csv(db, dbd)
+        assert main(["mine", "--db", str(db), "--dbd", str(dbd)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_undecodable_description_names_the_path(self, tmp_path, capsys):
+        db, dbd = self.write_files(tmp_path, ["5,red,no"])
+        dbd.write_bytes(b'{"columns": ["\xff"]}')
+        with pytest.raises(DataError, match=f"^cannot read {re.escape(str(dbd))}: .*0xff"):
+            preprocess_csv(db, dbd)
+        assert main(["preprocess", "--db", str(db), "--dbd", str(dbd)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot read {dbd}: ")
+
+
+# one bad cell or bad row, each made from a row's cells; two defects may
+# fall on one row, so each keeps whatever cells it does not replace
 DEFECTS = {
-    "missing cell": lambda cells: [cells[0], "", cells[2]],
+    "missing cell": lambda cells: [cells[0], "", *cells[2:]],
     "short row": lambda cells: cells[:2],
     "extra cell": lambda cells: cells + ["9"],
-    "bad label": lambda cells: [cells[0], "green", cells[2]],
+    "bad label": lambda cells: [cells[0], "green", *cells[2:]],
     "digit groups": lambda cells: ["1_0", *cells[1:]],
     "not a number": lambda cells: ["nan", *cells[1:]],
     "padded number": lambda cells: [" 25", *cells[1:]],
