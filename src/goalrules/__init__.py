@@ -12,9 +12,6 @@ from .preprocess import (
     Property,
     PropertyCatalog,
     build_catalog,
-    database_from_dict,
-    database_to_dict,
-    decode,
     dump_database,
     encode_row,
     load_database,
@@ -22,26 +19,14 @@ from .preprocess import (
     preprocess,
     preprocess_csv,
     read_table,
-    replicate,
 )
 from .metrics import (
     CriteriaWeights,
     RuleMetrics,
-    SupportResult,
-    UNIT_WEIGHTS,
     compute_metrics,
-    quality,
     recommended_min_correlation,
-    support,
 )
-from .engine import (
-    MiningConfig,
-    Rule,
-    RuleSet,
-    create_candidates,
-    mine,
-    mine_negative,
-)
+from .engine import MiningConfig, Rule, RuleSet, mine
 
 __version__ = "0.1.0"
 
@@ -58,25 +43,15 @@ __all__ = [
     "Rule",
     "RuleMetrics",
     "RuleSet",
-    "SupportResult",
-    "UNIT_WEIGHTS",
     "build_catalog",
     "compute_metrics",
-    "create_candidates",
-    "database_from_dict",
-    "database_to_dict",
-    "decode",
     "dump_database",
     "encode_row",
     "load_database",
     "mine",
-    "mine_negative",
     "parse_description",
     "preprocess",
     "preprocess_csv",
-    "quality",
     "read_table",
     "recommended_min_correlation",
-    "replicate",
-    "support",
 ]

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence, TextIO
 
 from .datasets import save_tables, synthetic_tables
-from .engine import MiningConfig, Rule, RuleSet, check_threads, mine, mine_negative
+from .engine import MiningConfig, Rule, RuleSet, check_threads, mine
 from .errors import ConfigError, DataError
 from .metrics import CriteriaWeights
 from .preprocess import (
@@ -271,8 +271,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     ruleset = mine(pdb, config, threads=args.threads)
-    if args.negative:
-        ruleset = ruleset.with_negative(mine_negative(pdb, config, threads=args.threads))
+    if not args.negative:
+        ruleset = ruleset.with_negative([()] * ruleset.goal_count)
     mine_seconds = time.perf_counter() - started
 
     report = RunReport(

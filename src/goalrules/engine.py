@@ -10,11 +10,11 @@ premise (the path bitmaps) instead of recounting the whole premise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import ConfigError
-from .metrics import CriteriaWeights, RuleMetrics, compute_metrics, support
+from .metrics import CriteriaWeights, RuleMetrics, compute_metrics
 
 
 @dataclass(frozen=True)
@@ -107,29 +107,33 @@ def _single_rules(pdb, config: MiningConfig) -> tuple[list[list[Rule]], list[lis
     (correlation above ``min_corr``, final flag set) and the negative rules
     (correlation at or below ``neg_corr``).
 
+    A property's count in goal k is the popcount of its bitmap there.
     Goals with an empty partition — or holding every record — get neither;
     correlation carries no signal there.
     """
-    total = pdb.total
-    singles = [(1 << i, support(1 << i, pdb)) for i in range(len(pdb.catalog))]
+    total, weights = pdb.total, config.weights
+    counts = [[bits.bit_count() for bits in maps] for maps in pdb.bitmaps]
+    sups = [sum(column) for column in zip(*counts)]
     candidates: list[list[Rule]] = []
     negative: list[list[Rule]] = []
     for goal, n_k in enumerate(pdb.partition_sizes):
-        kept: list[Rule] = []
+        kept: list[tuple] = []
         against: list[Rule] = []
         if 0 < n_k < total:
-            for code, result in singles:
-                sup, sup_k = result.total, result.per_goal[goal]
+            for i, (sup_k, sup) in enumerate(zip(counts[goal], sups)):
                 if sup == 0:
                     continue
-                metrics = compute_metrics(sup_k, sup, n_k, total, config.weights)
+                metrics = compute_metrics(sup_k, sup, n_k, total, weights)
                 if metrics.correlation > config.min_corr:
-                    kept.append(Rule(code, 1, goal, sup_k, sup, metrics, final=False))
+                    kept.append((1 << i, sup_k, sup, metrics))
                 elif metrics.correlation <= config.neg_corr:
-                    against.append(Rule(code, 1, goal, sup_k, sup, metrics, final=True, negative=True))
-        top = kept[-1].premise if kept else 0
+                    against.append(Rule(1 << i, 1, goal, sup_k, sup, metrics, final=True, negative=True))
+        top = kept[-1][0] if kept else 0
         candidates.append(
-            [replace(rule, final=_is_final(rule.premise, rule.metrics, top, config)) for rule in kept]
+            [
+                Rule(code, 1, goal, sup_k, sup, metrics, _is_final(code, metrics, top, config))
+                for code, sup_k, sup, metrics in kept
+            ]
         )
         negative.append(against)
     return candidates, negative
@@ -194,25 +198,31 @@ def check_threads(threads: int) -> None:
 
 
 def mine(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> RuleSet:
-    """Mine positive rules for every goal class.
+    """Mine the positive and negative rules of every goal class.
 
-    The single-property candidates of each goal seed a depth-first walk
-    (``_grow``) that extends a premise by one candidate bit above its top
-    bit at a time, ANDing that property's bitmap onto the premise's path
-    bitmaps. ``threads`` is accepted for compatibility and must be >= 1;
-    the search runs sequentially, so results are identical for any value.
+    One single-property pass (``_single_rules``) gives each goal its
+    negative rules and its candidates. The candidates seed a depth-first
+    walk (``_grow``) that extends a premise by one candidate bit above its
+    top bit at a time, ANDing that property's bitmap onto the premise's
+    path bitmaps. ``threads`` is accepted for compatibility and must be
+    >= 1; the search runs sequentially, so results are identical for any
+    value.
     """
     check_threads(threads)
     if config is None:
         config = MiningConfig()
-    positive = tuple(tuple(_grow(group, pdb, config)) for group in create_candidates(pdb, config))
-    return RuleSet(positive, tuple(() for _ in positive))
+    candidates, negative = _single_rules(pdb, config)
+    return RuleSet(
+        tuple(tuple(_grow(group, pdb, config)) for group in candidates),
+        tuple(map(tuple, negative)),
+    )
 
 
 def mine_negative(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> list[list[Rule]]:
     """Single-property rules arguing against a goal: correlation at or below
     ``neg_corr``. These are terminal; longer premises only lose support.
-    ``threads`` is a sequential alias, as in ``mine``."""
+    The same groups as ``mine(...).negative``; ``threads`` is a sequential
+    alias, as in ``mine``."""
     check_threads(threads)
     if config is None:
         config = MiningConfig()

@@ -129,7 +129,11 @@ def parse_description(text: str) -> list[ColumnDescriptor]:
         try:
             name = str(entry["name"])
             kind = str(entry["kind"])
-            classes = int(entry["classes"])
+            classes = entry["classes"]
+            # int() would read JSON true as 1 and truncate 2.9 to 2
+            if isinstance(classes, bool) or (isinstance(classes, float) and not classes.is_integer()):
+                raise ValueError(classes)
+            classes = int(classes)
             raw_values = entry["values"]
         except KeyError as exc:
             raise DataError(f"column entry is missing key {exc.args[0]!r}") from exc
@@ -183,6 +187,10 @@ class PropertyCatalog:
         for i, prop in enumerate(self.properties):
             if prop.index != i:
                 raise DataError("catalog property indices must be 0..m-1 in order")
+        names = self.names()
+        if len(set(names)) != len(names):
+            dupe = next(n for n in names if names.count(n) > 1)
+            raise DataError(f"duplicate property name {dupe!r}")
 
     def __len__(self) -> int:
         return len(self.properties)

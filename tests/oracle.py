@@ -13,8 +13,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .engine import MiningConfig, Rule, RuleSet
-from .metrics import SupportResult, compute_metrics
+from goalrules.engine import MiningConfig, Rule, RuleSet
+from goalrules.metrics import SupportResult, compute_metrics
 
 ENUMERATION_LIMIT = 2_000_000
 
@@ -78,6 +78,8 @@ def oracle_mine(
 
     Premises are ascending index tuples extended only past their largest
     index; candidacy, retention, and finality rules match ``engine.mine``.
+    Negative rules are the single properties whose correlation is at or
+    below ``neg_corr``, as in ``engine.mine``.
     """
     if config is None:
         config = MiningConfig()
@@ -95,16 +97,25 @@ def oracle_mine(
         )
 
     per_goal: list[list[Rule]] = []
+    negative: list[list[Rule]] = []
     for goal in range(n_goals):
         if not 0 < sizes[goal] < total:
             per_goal.append([])
+            negative.append([])
             continue
         candidates: list[tuple[int, ...]] = []
+        against: list[Rule] = []
         by_premise: dict[tuple[int, ...], Rule] = {}
         for i in observed:
             metrics, result = metrics_for((i,), goal)
-            if metrics is not None and metrics.correlation > config.min_corr:
+            if metrics is None:
+                continue
+            if metrics.correlation > config.min_corr:
                 candidates.append((i,))
+            elif metrics.correlation <= config.neg_corr:
+                sup_k = result.per_goal[goal]
+                against.append(Rule(_code((i,)), 1, goal, sup_k, result.total, metrics, True, True))
+        negative.append(against)
         top_index = candidates[-1][0] if candidates else -1
 
         def finalize(indices: tuple[int, ...], metrics) -> bool:
@@ -157,8 +168,7 @@ def oracle_mine(
             rules.extend(by_premise[p] for p in grown)
             level = grown
         per_goal.append(rules)
-    empty = tuple(() for _ in per_goal)
-    return RuleSet(tuple(tuple(rules) for rules in per_goal), empty)
+    return RuleSet(tuple(map(tuple, per_goal)), tuple(map(tuple, negative)))
 
 
 def oracle_enumerate(

@@ -17,17 +17,11 @@ from itertools import combinations
 import pytest
 
 from conftest import assert_rulesets_equal, build_pdb, random_pdb
-from goalrules import (
-    MiningConfig,
-    UNIT_WEIGHTS,
-    compute_metrics,
-    mine,
-    replicate,
-    support,
-)
+from goalrules import MiningConfig, compute_metrics, mine
 from goalrules.datasets import diabetes_database
-from goalrules.metrics import quality
-from goalrules.oracle import from_database, oracle_mine, oracle_support
+from goalrules.metrics import UNIT_WEIGHTS, quality, support
+from goalrules.preprocess import replicate
+from oracle import from_database, oracle_mine, oracle_support
 
 # Frozen reference values for the diabetes demo (tertile bins, unit weights):
 # premise short names, goal label, f_g, f_all, confidence, correlation, quality.
@@ -190,15 +184,17 @@ def _split_bits(premise: int) -> list[int]:
 def test_criterion_4_engine_matches_oracle(random_corpus):
     cases, elapsed = random_corpus
     assert len(cases) >= 200
-    rules_seen = 0
+    rules_seen = negatives_seen = 0
     for pdb, config, engine_rules, oracle_rules in cases:
         assert_rulesets_equal(engine_rules, oracle_rules, tol=1e-12)
         rules_seen += sum(len(r) for r in engine_rules.positive)
+        negatives_seen += sum(len(r) for r in engine_rules.negative)
+    assert negatives_seen > 0  # the negative side must be compared too
     assert elapsed < 30.0, f"corpus sweep took {elapsed:.1f}s"
     print(
         "ACCEPTANCE crit-4 PASS: "
         f"{len(cases)} random databases, engine == oracle "
-        f"({rules_seen} rules, {elapsed:.1f}s)"
+        f"({rules_seen} rules, {negatives_seen} negative, {elapsed:.1f}s)"
     )
 
 

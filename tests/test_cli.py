@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -21,9 +22,9 @@ from goalrules import (
     PropertyCatalog,
     load_database,
     mine,
-    mine_negative,
     preprocess_csv,
 )
+from goalrules import engine
 from goalrules.cli import RunReport, main, mining_output_json
 from goalrules.datasets import save_tables, synthetic_tables
 from goalrules.metrics import CriteriaWeights
@@ -185,6 +186,22 @@ class TestMineCommand:
         db, dbd = table
         doc = run_json(capsys, ["mine", "--db", db, "--dbd", dbd, "--format", "json"])
         assert all(not r["negative"] for r in doc["rules"])
+        assert doc["report"]["negative_counts"] == [0, 0]
+
+    def test_one_single_property_pass(self, table, capsys, monkeypatch):
+        """Negative rules come from the pass that seeds the search."""
+        calls = []
+        single_rules = engine._single_rules
+
+        def counted(*args):
+            calls.append(args)
+            return single_rules(*args)
+
+        monkeypatch.setattr(engine, "_single_rules", counted)
+        db, dbd = table
+        assert main(["mine", "--db", db, "--dbd", dbd, "--negative"]) == 0
+        assert "negative=[2, 2]" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_csv_output(self, table, capsys):
         db, dbd = table
@@ -325,8 +342,8 @@ def reference_json(ruleset, pdb, config, report) -> str:
 
 def mine_run(pdb, config, negative, dataset="data.csv", seconds=(0.25, 1.5)):
     ruleset = mine(pdb, config)
-    if negative:
-        ruleset = ruleset.with_negative(mine_negative(pdb, config))
+    if not negative:
+        ruleset = ruleset.with_negative([()] * ruleset.goal_count)
     report = RunReport(
         dataset=dataset,
         records=pdb.total,
@@ -396,7 +413,7 @@ class TestJsonEmitter:
     def test_escapes_match_json_dumps(self, seed, negative, max_len, dataset, seconds, data):
         base = random_pdb(random.Random(seed))
         m = len(base.catalog)
-        names = data.draw(st.lists(ODD_TEXT, min_size=m, max_size=m))
+        names = data.draw(st.lists(ODD_TEXT, min_size=m, max_size=m, unique=True))
         labels = data.draw(st.lists(ODD_TEXT, min_size=len(base.goal_labels),
                                     max_size=len(base.goal_labels)))
         catalog = PropertyCatalog(
@@ -470,6 +487,68 @@ class TestSynthCommand:
         dbd = tmp_path / "s.dbd.json"
         code = main(["synth", "--rows", "0", "--out-db", str(db), "--out-dbd", str(dbd)])
         assert code == 2
+
+
+def _without_timings(out: bytes) -> list[bytes]:
+    return [
+        line for line in out.splitlines()
+        if b'"preprocess_seconds"' not in line and b'"mine_seconds"' not in line
+    ]
+
+
+class TestWithoutNumpy:
+    @pytest.mark.parametrize("continuous", [10, 22], ids=["30-properties", "66-properties"])
+    def test_mine_matches_the_numpy_run(self, tmp_path, continuous):
+        """A ``numpy`` whose import fails sends the program down its
+        pure-Python fallback, with the same output apart from the timings."""
+        pytest.importorskip("numpy")
+        import goalrules
+
+        db, dbd = tmp_path / "s.csv", tmp_path / "s.dbd.json"
+        table, description = synthetic_tables(400, continuous, categorical=0, seed=5)
+        save_tables(table, description, db, dbd)
+        stub = tmp_path / "stub"
+        (stub / "numpy").mkdir(parents=True)
+        (stub / "numpy" / "__init__.py").write_text('raise ImportError("numpy is hidden")\n')
+        src = str(Path(goalrules.__file__).parent.parent)
+        outputs = []
+        for path in (src, os.pathsep.join([str(stub), src])):
+            env = dict(os.environ, PYTHONPATH=path)
+            probe = "from goalrules.preprocess import _np; print(_np is None)"
+            hidden = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, timeout=60)
+            assert hidden.stdout == (b"False\n" if path == src else b"True\n")
+            argv = ["mine", "--negative", "--format", "json", "--min-corr", "0.2", "--max-premise-len", "3"]
+            done = subprocess.run(
+                [sys.executable, "-m", "goalrules.cli", *argv, "--db", str(db), "--dbd", str(dbd)],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        doc = json.loads(outputs[0])
+        assert len(doc["catalog"]) == 3 * continuous
+        assert any(r["negative"] for r in doc["rules"]) and any(len(r["premise"]) > 1 for r in doc["rules"])
+        assert _without_timings(outputs[1]) == _without_timings(outputs[0])
+
+
+class TestPublicNames:
+    KEPT = [
+        "ColumnDescriptor", "ConfigError", "CriteriaWeights", "DataError", "MiningConfig",
+        "MissingValueError", "PartitionedDatabase", "Property", "PropertyCatalog", "Rule",
+        "RuleMetrics", "RuleSet", "build_catalog", "compute_metrics", "dump_database",
+        "encode_row", "load_database", "mine", "parse_description", "preprocess",
+        "preprocess_csv", "read_table", "recommended_min_correlation",
+    ]
+
+    def test_all_is_the_kept_list(self):
+        import goalrules
+
+        assert goalrules.__all__ == self.KEPT
+        for name in self.KEPT:
+            assert getattr(goalrules, name) is not None
+
+    def test_oracle_is_not_part_of_the_package(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("goalrules.oracle")
 
 
 class TestClosedStdout:

@@ -4,17 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goalrules import (
-    ConfigError,
-    CriteriaWeights,
-    MiningConfig,
-    compute_metrics,
-    create_candidates,
-    mine,
-    mine_negative,
-    replicate,
-    support,
-)
+from goalrules import ConfigError, CriteriaWeights, MiningConfig, compute_metrics, mine
+from goalrules.engine import create_candidates, mine_negative
+from goalrules.metrics import support
+from goalrules.preprocess import replicate
 from conftest import assert_rulesets_equal, build_pdb, random_pdb
 
 # Two properties that are individually informative for goal 0 but nearly
@@ -197,7 +190,9 @@ class TestMine:
         premises = [(r.premise, r.final) for r in ruleset.positive[0]]
         assert premises == [(1, False), (2, True)]  # pair dropped, singles kept
         assert [(r.premise, r.final) for r in ruleset.positive[1]] == [(4, True)]
-        assert ruleset.negative == ((), ())
+        # bit 2 never occurs in goal 0; bits 0 and 1 lean away from goal 1
+        assert [[r.premise for r in group] for group in ruleset.negative] == [[4], [1, 2]]
+        assert ruleset.negative == tuple(map(tuple, mine_negative(corr_drop_pdb())))
 
     def test_single_goal_database_is_empty(self):
         pdb = build_pdb([[1, 3, 1]], m=2, labels=("only",))
@@ -349,6 +344,19 @@ class TestMineNegative:
     def test_degenerate_goals_skipped(self):
         pdb = build_pdb([[1, 2], []], m=2)
         assert mine_negative(pdb) == [[], []]
+
+    def test_mine_returns_the_same_negatives(self):
+        rng = random.Random(17)
+        negatives = 0
+        for _ in range(80):
+            pdb = random_pdb(rng)
+            config = MiningConfig(
+                min_corr=rng.choice([0.1, 0.35, 0.6]), neg_corr=rng.choice([-0.1, -0.35, -0.6, -1.0])
+            )
+            ruleset = mine(pdb, config)
+            assert [list(group) for group in ruleset.negative] == mine_negative(pdb, config)
+            negatives += sum(ruleset.negative_counts())
+        assert negatives > 20  # the comparison must bite
 
 
 class TestPairBounds:

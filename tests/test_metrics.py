@@ -9,14 +9,11 @@ from goalrules import (
     ConfigError,
     CriteriaWeights,
     PartitionedDatabase,
-    SupportResult,
-    UNIT_WEIGHTS,
     compute_metrics,
-    quality,
     recommended_min_correlation,
-    replicate,
-    support,
 )
+from goalrules.metrics import UNIT_WEIGHTS, SupportResult, quality, support
+from goalrules.preprocess import replicate
 from conftest import brute_support, build_pdb, random_pdb
 
 

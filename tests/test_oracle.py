@@ -3,15 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from goalrules import MiningConfig, Rule, compute_metrics, mine, mine_negative, support
-from goalrules.oracle import (
-    SetRecord,
-    from_database,
-    oracle_enumerate,
-    oracle_mine,
-    oracle_support,
-)
+from goalrules import MiningConfig, compute_metrics, mine
+from goalrules.metrics import support
 from conftest import assert_rulesets_equal, build_pdb, random_pdb
+from oracle import SetRecord, from_database, oracle_enumerate, oracle_mine, oracle_support
 
 
 def bits(code):
@@ -51,23 +46,6 @@ class TestOracleSupport:
 
 
 class TestOracleMineEquivalence:
-    def oracle_negative(self, records, pdb, config):
-        """Negative rules from single-property counts by subset containment."""
-        sizes, total = pdb.partition_sizes, pdb.total
-        singles = [oracle_support({i}, records, len(sizes)) for i in range(len(pdb.catalog))]
-        groups = [[] for _ in sizes]
-        for goal, n_k in enumerate(sizes):
-            if not 0 < n_k < total:
-                continue
-            for i, result in enumerate(singles):
-                if result.total == 0:
-                    continue
-                sup_k = result.per_goal[goal]
-                metrics = compute_metrics(sup_k, result.total, n_k, total, config.weights)
-                if metrics.correlation <= config.neg_corr:
-                    groups[goal].append(Rule(1 << i, 1, goal, sup_k, result.total, metrics, True, True))
-        return groups
-
     def test_matches_engine_on_random_databases(self):
         rng = random.Random(99)
         thresholds = [0.1, 0.25, 0.35, 0.5]
@@ -83,13 +61,10 @@ class TestOracleMineEquivalence:
                 max_premise_len=rng.choice([None, None, 2, 3]),
             )
             records = from_database(pdb)
-            negative = mine_negative(pdb, config)
-            engine_rules = mine(pdb, config).with_negative(negative)
-            oracle_rules = oracle_mine(records, len(pdb.partition_sizes), config).with_negative(
-                self.oracle_negative(records, pdb, config)
-            )
+            engine_rules = mine(pdb, config)
+            oracle_rules = oracle_mine(records, len(pdb.partition_sizes), config)
             assert_rulesets_equal(engine_rules, oracle_rules)
-            negatives += sum(map(len, negative))
+            negatives += sum(map(len, engine_rules.negative))
         assert negatives > 20  # the negative check must bite
 
     def test_corr_drop_database(self):

@@ -16,9 +16,6 @@ from goalrules import (
     PartitionedDatabase,
     PropertyCatalog,
     build_catalog,
-    database_from_dict,
-    database_to_dict,
-    decode,
     dump_database,
     encode_row,
     load_database,
@@ -26,9 +23,9 @@ from goalrules import (
     preprocess,
     preprocess_csv,
     read_table,
-    replicate,
-    support,
 )
+from goalrules.metrics import support
+from goalrules.preprocess import database_from_dict, database_to_dict, decode, replicate
 from goalrules.cli import main
 
 DESC = {
@@ -107,6 +104,15 @@ class TestParseDescription:
         with pytest.raises(DataError, match="at least 2"):
             make_descriptors(doc)
 
+    @pytest.mark.parametrize("classes", [2.9, 2.5, True, math.inf, math.nan])
+    def test_class_count_not_an_integer(self, classes):
+        doc = variant(col=1, classes=classes)
+        with pytest.raises(DataError, match="column 'color': bad 'classes' value"):
+            make_descriptors(doc)
+
+    def test_integral_class_count_accepted(self):
+        assert make_descriptors(variant(col=1, classes=2.0))[1].class_count == 2
+
     def test_label_count_mismatch(self):
         doc = variant(col=1, values=["red", "blue", "green"])
         with pytest.raises(DataError, match="expected 2 labels"):
@@ -172,6 +178,25 @@ class TestCatalog:
 
         with pytest.raises(DataError, match="0..m-1"):
             PropertyCatalog((Property(1, "A1", "a", 1, "A1"),))
+
+    def test_colliding_property_names_rejected(self, tmp_path, capsys):
+        # category 10 of short name A and category 0 of short name A1 are both A10
+        doc = {
+            "columns": [
+                {"name": "a", "kind": "categorical", "short": "A", "classes": 11,
+                 "values": [f"v{i}" for i in range(11)]},
+                {"name": "b", "kind": "categorical", "short": "A1", "classes": 2, "values": ["x", "y"]},
+                {"name": "label", "kind": "target", "classes": 2, "values": ["no", "yes"]},
+            ]
+        }
+        with pytest.raises(DataError, match="^duplicate property name 'A10'$"):
+            build_catalog(make_descriptors(doc))
+        db, dbd = tmp_path / "t.csv", tmp_path / "t.dbd.json"
+        db.write_text("a,b,label\nv0,x,no\nv10,y,yes\n")
+        dbd.write_text(json.dumps(doc))
+        for command in ("preprocess", "mine"):
+            assert main([command, "--db", str(db), "--dbd", str(dbd)]) == 3
+            assert capsys.readouterr().err == "error: duplicate property name 'A10'\n"
 
 
 def bin_of(value: float, bounds) -> int:
@@ -487,6 +512,15 @@ class TestDumpLoad:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="code out of catalog range"):
+            load_database(path)
+
+    def test_load_rejects_repeated_property_name(self, tmp_path):
+        pdb = preprocess(TestPreprocess().rows(), make_descriptors())
+        doc = database_to_dict(pdb)
+        doc["catalog"][4]["name"] = "T0"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="duplicate property name 'T0'"):
             load_database(path)
 
     def test_load_rejects_bad_json(self, tmp_path):
