@@ -14,7 +14,16 @@ import random
 from statistics import quantiles
 from typing import Sequence
 
-from .preprocess import PartitionedDatabase, parse_description, preprocess
+from .preprocess import (
+    CATEGORICAL,
+    CONTINUOUS,
+    TARGET,
+    ColumnDescriptor,
+    PartitionedDatabase,
+    description_document,
+    parse_description,
+    preprocess,
+)
 
 _DIABETES_FULL_NAMES = {
     "age": "age in years",
@@ -62,43 +71,20 @@ def diabetes_tables() -> tuple[list[dict[str, str]], dict]:
     sex_labels = {value: str(i) for i, value in enumerate(sex_values)}
 
     goal_cuts = tertile_boundaries(target)
-    goal_labels = ["Goal0", "Goal1", "Goal2"]
+    goal_labels = ("Goal0", "Goal1", "Goal2")
 
     columns = []
     for j, name in enumerate(feature_names):
         if j == sex_column:
-            columns.append(
-                {
-                    "name": name,
-                    "kind": "categorical",
-                    "short": name.upper(),
-                    "classes": len(sex_values),
-                    "values": [sex_labels[v] for v in sex_values],
-                    "full_name": _DIABETES_FULL_NAMES[name],
-                }
-            )
+            kind, classes, values = CATEGORICAL, len(sex_values), tuple(sex_labels.values())
         else:
             cuts = tertile_boundaries([row[j] for row in data])
-            columns.append(
-                {
-                    "name": name,
-                    "kind": "continuous",
-                    "short": name.upper(),
-                    "classes": 3,
-                    "values": cuts,
-                    "full_name": _DIABETES_FULL_NAMES[name],
-                }
-            )
-    columns.append(
-        {
-            "name": "progression",
-            "kind": "target",
-            "short": "Y",
-            "classes": 3,
-            "values": goal_labels,
-            "full_name": "disease progression one year after baseline",
-        }
-    )
+            kind, classes, values = CONTINUOUS, 3, tuple(cuts)
+        columns.append(
+            ColumnDescriptor(name, kind, name.upper(), classes, values, _DIABETES_FULL_NAMES[name])
+        )
+    progression = "disease progression one year after baseline"
+    columns.append(ColumnDescriptor("progression", TARGET, "Y", 3, goal_labels, progression))
 
     rows = []
     for row, y in zip(data, target):
@@ -108,7 +94,7 @@ def diabetes_tables() -> tuple[list[dict[str, str]], dict]:
         goal_bin = sum(y >= cut for cut in goal_cuts)
         cells["progression"] = goal_labels[goal_bin]
         rows.append(cells)
-    return rows, {"columns": columns}
+    return rows, description_document(columns)
 
 
 def diabetes_database() -> PartitionedDatabase:
@@ -145,40 +131,17 @@ def synthetic_tables(
     if classes < 2 or goals < 2:
         raise ValueError("classes and goals must be at least 2")
     rng = random.Random(seed)
+    bounds = tuple(i / classes for i in range(1, classes))
+    labels = tuple(f"L{i}" for i in range(classes))
+    goal_labels = tuple(f"g{i}" for i in range(goals))
     columns = []
     for j in range(continuous):
-        columns.append(
-            {
-                "name": f"c{j}",
-                "kind": "continuous",
-                "short": f"C{j}",
-                "classes": classes,
-                "values": [i / classes for i in range(1, classes)],
-                "full_name": f"continuous feature {j}",
-            }
-        )
+        full_name = f"continuous feature {j}"
+        columns.append(ColumnDescriptor(f"c{j}", CONTINUOUS, f"C{j}", classes, bounds, full_name))
     for j in range(categorical):
-        columns.append(
-            {
-                "name": f"d{j}",
-                "kind": "categorical",
-                "short": f"D{j}",
-                "classes": classes,
-                "values": [f"L{i}" for i in range(classes)],
-                "full_name": f"categorical feature {j}",
-            }
-        )
-    goal_labels = [f"g{i}" for i in range(goals)]
-    columns.append(
-        {
-            "name": "outcome",
-            "kind": "target",
-            "short": "G",
-            "classes": goals,
-            "values": goal_labels,
-            "full_name": "synthetic outcome",
-        }
-    )
+        full_name = f"categorical feature {j}"
+        columns.append(ColumnDescriptor(f"d{j}", CATEGORICAL, f"D{j}", classes, labels, full_name))
+    columns.append(ColumnDescriptor("outcome", TARGET, "G", goals, goal_labels, "synthetic outcome"))
 
     table = []
     for _ in range(rows):
@@ -198,4 +161,4 @@ def synthetic_tables(
                 cells[f"d{j}"] = f"L{rng.randrange(classes)}"
         cells["outcome"] = goal_labels[goal]
         table.append(cells)
-    return table, {"columns": columns}
+    return table, description_document(columns)

@@ -19,17 +19,6 @@ from .preprocess import set_bits
 
 
 @dataclass(frozen=True)
-class SupportResult:
-    """Per-goal record counts for one premise."""
-
-    per_goal: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.per_goal)
-
-
-@dataclass(frozen=True)
 class CriteriaWeights:
     """Weights of the four criteria blended into the quality score."""
 
@@ -65,8 +54,9 @@ class RuleMetrics:
     quality: float
 
 
-def support(premise: int, pdb) -> SupportResult:
-    """Count the records containing every premise bit, per goal partition.
+def support(premise: int, pdb) -> tuple[int, ...]:
+    """Count the records containing every premise bit, per goal partition;
+    ``sum()`` of the tuple is the premise's total support.
 
     The empty premise (0) matches everything and returns the partition
     sizes; a bit beyond the catalog matches nothing.
@@ -74,9 +64,9 @@ def support(premise: int, pdb) -> SupportResult:
     if premise < 0:
         raise ValueError("premise must be non-negative")
     if premise == 0:
-        return SupportResult(tuple(pdb.partition_sizes))
+        return tuple(pdb.partition_sizes)
     if premise >> len(pdb.catalog):
-        return SupportResult((0,) * len(pdb.partition_sizes))
+        return (0,) * len(pdb.partition_sizes)
     first, *rest = set_bits(premise)
     counts = []
     for maps in pdb.bitmaps:
@@ -84,7 +74,7 @@ def support(premise: int, pdb) -> SupportResult:
         for i in rest:
             common &= maps[i]
         counts.append(common.bit_count())
-    return SupportResult(tuple(counts))
+    return tuple(counts)
 
 
 def quality(

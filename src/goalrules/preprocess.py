@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice, zip_longest
 from math import isfinite
@@ -162,6 +162,25 @@ def parse_description(text: str) -> list[ColumnDescriptor]:
     return descriptors
 
 
+def description_document(descriptors: Sequence[ColumnDescriptor]) -> dict:
+    """The JSON-ready description document of validated descriptors: the
+    inverse of ``parse_description``, with every key written out."""
+    validate_descriptors(descriptors)
+    return {
+        "columns": [
+            {
+                "name": d.name,
+                "kind": d.kind,
+                "short": d.short_name,
+                "classes": d.class_count,
+                "values": list(d.values),
+                "full_name": d.full_name,
+            }
+            for d in descriptors
+        ]
+    }
+
+
 @dataclass(frozen=True)
 class Property:
     """A single binary property: one category of one input column."""
@@ -203,11 +222,6 @@ class PropertyCatalog:
 
     def names(self) -> list[str]:
         return [p.name for p in self.properties]
-
-    @classmethod
-    def generic(cls, m: int) -> "PropertyCatalog":
-        """Anonymous m-property catalog (P0..Pm-1) for synthetic databases."""
-        return cls(tuple(Property(i, f"P{i}", f"P{i}", 0, f"P{i}") for i in range(m)))
 
 
 def _interval_text(full_name: str, bounds: Sequence[float], category: int) -> str:
@@ -572,25 +586,10 @@ def preprocess_csv(db_path, dbd_path, *, skip_missing: bool = False) -> Partitio
     return _preprocess_cells(_read_cells(db_path, descriptors), descriptors, skip_missing)
 
 
-def decode(code: int, catalog: PropertyCatalog) -> list[str]:
-    """Property names of the set bits, in catalog order."""
-    if code < 0 or code >> len(catalog):
-        raise DataError(f"code out of catalog range: {code}")
-    return [catalog.properties[i].name for i in set_bits(code)]
-
-
 def catalog_to_list(catalog: PropertyCatalog) -> list[dict]:
-    """JSON-ready catalog, one object per property in bit order."""
-    return [
-        {
-            "index": p.index,
-            "name": p.name,
-            "column": p.column,
-            "category": p.category,
-            "full_name": p.full_name,
-        }
-        for p in catalog
-    ]
+    """JSON-ready catalog, one object per property in bit order, keyed in
+    ``Property``'s field order."""
+    return [asdict(p) for p in catalog]
 
 
 def database_to_dict(pdb: PartitionedDatabase) -> dict:
@@ -626,9 +625,22 @@ def database_from_dict(doc: dict) -> PartitionedDatabase:
         raise DataError("partition sizes must be non-negative")
     if sum(sizes) != len(records):
         raise DataError("partition sizes must sum to the record count")
-    for record in records:
+    # at most one property per column, not exactly one: a catalog may give
+    # each property a column of its own
+    columns: dict[str, int] = {}
+    for prop in catalog:
+        columns[prop.column] = columns.get(prop.column, 0) | prop.code
+    shared = [(column, mask) for column, mask in columns.items() if mask & (mask - 1)]
+    checked: set[int] = set()
+    for index, record in enumerate(records):
+        if record in checked:
+            continue
         if record <= 0 or record >> len(catalog):
             raise DataError(f"code out of catalog range: {record}")
+        for column, mask in shared:
+            if (record & mask).bit_count() > 1:
+                raise DataError(f"record {index}: more than one property of column {column!r}")
+        checked.add(record)
     partitions = tuple(records[end - n : end] for n, end in zip(sizes, accumulate(sizes)))
     return PartitionedDatabase(partitions, labels, catalog)
 

@@ -6,7 +6,12 @@ import random
 
 import pytest
 
-from goalrules import PartitionedDatabase, PropertyCatalog, RuleSet
+from goalrules import PartitionedDatabase, Property, PropertyCatalog, RuleSet
+
+
+def generic_catalog(m: int) -> PropertyCatalog:
+    """Anonymous m-property catalog (P0..Pm-1), each property its own column."""
+    return PropertyCatalog(tuple(Property(i, f"P{i}", f"P{i}", 0, f"P{i}") for i in range(m)))
 
 
 def build_pdb(parts: list[list[int]], m: int, labels=None) -> PartitionedDatabase:
@@ -16,7 +21,7 @@ def build_pdb(parts: list[list[int]], m: int, labels=None) -> PartitionedDatabas
     return PartitionedDatabase(
         partitions=tuple(tuple(part) for part in parts),
         goal_labels=tuple(labels),
-        catalog=PropertyCatalog.generic(m),
+        catalog=generic_catalog(m),
     )
 
 

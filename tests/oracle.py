@@ -14,7 +14,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from goalrules.engine import MiningConfig, Rule, RuleSet
-from goalrules.metrics import SupportResult, compute_metrics
+from goalrules.metrics import compute_metrics
 
 ENUMERATION_LIMIT = 2_000_000
 
@@ -48,7 +48,7 @@ def from_database(pdb) -> list[SetRecord]:
 
 def oracle_support(
     premise: Iterable[int], records: Sequence[SetRecord], n_goals: int | None = None
-) -> SupportResult:
+) -> tuple[int, ...]:
     """Subset-containment counting per goal."""
     wanted = frozenset(premise)
     if n_goals is None:
@@ -57,7 +57,7 @@ def oracle_support(
     for record in records:
         if wanted <= record.properties:
             counts[record.goal] += 1
-    return SupportResult(tuple(counts))
+    return tuple(counts)
 
 
 def _code(indices: Sequence[int]) -> int:
@@ -89,10 +89,10 @@ def oracle_mine(
 
     def metrics_for(indices: tuple[int, ...], goal: int):
         result = oracle_support(indices, records, n_goals)
-        if result.total == 0:
+        if sum(result) == 0:
             return None, result
         return (
-            compute_metrics(result.per_goal[goal], result.total, sizes[goal], total, config.weights),
+            compute_metrics(result[goal], sum(result), sizes[goal], total, config.weights),
             result,
         )
 
@@ -113,8 +113,8 @@ def oracle_mine(
             if metrics.correlation > config.min_corr:
                 candidates.append((i,))
             elif metrics.correlation <= config.neg_corr:
-                sup_k = result.per_goal[goal]
-                against.append(Rule(_code((i,)), 1, goal, sup_k, result.total, metrics, True, True))
+                sup_k = result[goal]
+                against.append(Rule(_code((i,)), 1, goal, sup_k, sum(result), metrics, True, True))
         negative.append(against)
         top_index = candidates[-1][0] if candidates else -1
 
@@ -132,8 +132,8 @@ def oracle_mine(
                 _code(indices),
                 1,
                 goal,
-                result.per_goal[goal],
-                result.total,
+                result[goal],
+                sum(result),
                 metrics,
                 finalize(indices, metrics),
             )
@@ -156,8 +156,8 @@ def oracle_mine(
                         _code(extended),
                         len(extended),
                         goal,
-                        result.per_goal[goal],
-                        result.total,
+                        result[goal],
+                        sum(result),
                         metrics,
                         finalize(extended, metrics),
                     )
@@ -197,21 +197,21 @@ def oracle_enumerate(
     for length in range(1, width + 1):
         for indices in combinations(observed, length):
             result = oracle_support(indices, records, n_goals)
-            if result.total == 0:
+            if sum(result) == 0:
                 continue
             for goal in range(n_goals):
                 if sizes[goal] == 0:
                     continue
                 metrics = compute_metrics(
-                    result.per_goal[goal], result.total, sizes[goal], total, config.weights
+                    result[goal], sum(result), sizes[goal], total, config.weights
                 )
                 rules.append(
                     Rule(
                         _code(indices),
                         length,
                         goal,
-                        result.per_goal[goal],
-                        result.total,
+                        result[goal],
+                        sum(result),
                         metrics,
                         False,
                     )

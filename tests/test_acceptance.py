@@ -141,10 +141,10 @@ def test_criterion_3_diabetes_structure(diabetes, diabetes_default_run):
                     records,
                     len(diabetes.partition_sizes),
                 )
-                if sup.total == 0:
+                if sum(sup) == 0:
                     continue
                 metrics = compute_metrics(
-                    sup.per_goal[goal], sup.total, n_k, diabetes.total, config.weights
+                    sup[goal], sum(sup), n_k, diabetes.total, config.weights
                 )
                 assert metrics.correlation < config.min_corr, (
                     f"missing child {child:b} for goal {goal} "
@@ -215,12 +215,12 @@ def test_criterion_5_support_bounds_on_splits(random_corpus):
                     y = rule.premise ^ x
                     sup_x = oracle_support(
                         [x.bit_length() - 1], records, len(pdb.partition_sizes)
-                    ).per_goal[goal]
+                    )[goal]
                     sup_y = oracle_support(
                         [i for i in range(y.bit_length()) if y >> i & 1],
                         records,
                         len(pdb.partition_sizes),
-                    ).per_goal[goal]
+                    )[goal]
                     lower = max(0, sup_x + sup_y - n_k)
                     upper = min(sup_x, sup_y)
                     assert lower <= rule.sup_k <= upper, (
@@ -254,17 +254,17 @@ def test_criterion_6_joint_confidence_dominates_parents():
         sup_x = support(1, pdb)
         sup_y = support(2, pdb)
         sup_xy = support(3, pdb)
-        assert sup_x.per_goal == (a0 * c0, a1 * c1)
-        assert sup_y.per_goal == (b0 * c0, b1 * c1)
-        assert sup_xy.per_goal == (a0 * b0, a1 * b1)
+        assert sup_x == (a0 * c0, a1 * c1)
+        assert sup_y == (b0 * c0, b1 * c1)
+        assert sup_xy == (a0 * b0, a1 * b1)
 
         n0, total = c0 * c0, c0 * c0 + c1 * c1
         for sup in (sup_x, sup_y):
-            lift = compute_metrics(sup.per_goal[0], sup.total, n0, total).lift
+            lift = compute_metrics(sup[0], sum(sup), n0, total).lift
             assert lift > 1.0
         # conf(XY) >= conf(X) and conf(Y), compared in exact integers
-        assert sup_xy.per_goal[0] * sup_x.total >= sup_x.per_goal[0] * sup_xy.total
-        assert sup_xy.per_goal[0] * sup_y.total >= sup_y.per_goal[0] * sup_xy.total
+        assert sup_xy[0] * sum(sup_x) >= sup_x[0] * sum(sup_xy)
+        assert sup_xy[0] * sum(sup_y) >= sup_y[0] * sum(sup_xy)
         trials += 1
     print(
         "ACCEPTANCE crit-6 PASS: 50 two-property databases, "

@@ -144,7 +144,7 @@ class TestExpand:
         group = create_candidates(pdb, MiningConfig())[0]
         assert [r.metrics.correlation for r in group] == [0.4, 0.4]
         pair = support(3, pdb)
-        assert compute_metrics(pair.per_goal[0], pair.total, 10, 30).correlation == 0.0
+        assert compute_metrics(pair[0], sum(pair), 10, 30).correlation == 0.0
         assert [r.premise for r in mine(pdb).positive[0]] == [1, 2]
 
     def test_pair_kept_at_lower_threshold(self):
@@ -159,7 +159,7 @@ class TestExpand:
         config = MiningConfig(min_corr=0.1)
         group = create_candidates(pdb, config)[0]
         assert [(r.premise, r.final) for r in group] == [(1, False), (2, True)]
-        assert support(3, pdb).total == 0
+        assert sum(support(3, pdb)) == 0
         assert [r.premise for r in mine(pdb, config).positive[0]] == [1, 2]
 
     def test_surviving_pair_counts_and_metrics(self):
@@ -249,8 +249,8 @@ class TestMine:
             for goal, group in enumerate(ruleset.positive):
                 for rule in group:
                     result = support(rule.premise, pdb)
-                    assert rule.sup_k == result.per_goal[goal]
-                    assert rule.sup == result.total
+                    assert rule.sup_k == result[goal]
+                    assert rule.sup == sum(result)
                     assert rule.metrics == compute_metrics(
                         rule.sup_k, rule.sup, pdb.partition_sizes[goal], pdb.total
                     )
@@ -328,7 +328,7 @@ class TestMineNegative:
         # correlation exactly -0.5 for bit 0 against goal 0
         parts = [[1] + [2] * 4, [1] * 3 + [2] * 2]
         pdb = build_pdb(parts, m=2)
-        assert support(1, pdb).per_goal == (1, 3)
+        assert support(1, pdb) == (1, 3)
         metrics = compute_metrics(1, 4, 5, 10)
         assert metrics.correlation == -0.5
         included = mine_negative(pdb, MiningConfig(neg_corr=-0.5))
@@ -369,8 +369,8 @@ class TestPairBounds:
         i, j = rng.sample(range(m), 2) if m >= 2 else (0, 0)
         if i == j:
             return
-        sup_i = support(1 << i, pdb).per_goal
-        sup_j = support(1 << j, pdb).per_goal
-        sup_ij = support((1 << i) | (1 << j), pdb).per_goal
+        sup_i = support(1 << i, pdb)
+        sup_j = support(1 << j, pdb)
+        sup_ij = support((1 << i) | (1 << j), pdb)
         for k, n_k in enumerate(pdb.partition_sizes):
             assert max(0, sup_i[k] + sup_j[k] - n_k) <= sup_ij[k] <= min(sup_i[k], sup_j[k])

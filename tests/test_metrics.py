@@ -12,7 +12,7 @@ from goalrules import (
     compute_metrics,
     recommended_min_correlation,
 )
-from goalrules.metrics import UNIT_WEIGHTS, SupportResult, quality, support
+from goalrules.metrics import UNIT_WEIGHTS, quality, support
 from goalrules.preprocess import replicate
 from conftest import brute_support, build_pdb, random_pdb
 
@@ -43,27 +43,27 @@ class TestSupport:
 
     def test_premise_contained(self):
         result = support(5, self.db())
-        assert result.per_goal == (2, 0)
-        assert result.total == 2
+        assert result == (2, 0)
+        assert sum(result) == 2
 
     def test_empty_premise_matches_everything(self):
-        assert support(0, self.db()).per_goal == (2, 1)
+        assert support(0, self.db()) == (2, 1)
 
     def test_single_bits(self):
         db = self.db()
-        assert support(1, db).per_goal == (2, 1)
-        assert support(2, db).per_goal == (1, 1)
-        assert support(4, db).per_goal == (2, 0)
+        assert support(1, db) == (2, 1)
+        assert support(2, db) == (1, 1)
+        assert support(4, db) == (2, 0)
 
     def test_unused_bit_has_no_support(self):
-        assert support(8, self.db()).per_goal == (0, 0)
+        assert support(8, self.db()) == (0, 0)
 
     def test_negative_premise_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             support(-1, self.db())
 
     def test_empty_partition(self):
-        assert support(1, build_pdb([[1], []], m=1)).per_goal == (1, 0)
+        assert support(1, build_pdb([[1], []], m=1)) == (1, 0)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -73,20 +73,20 @@ class TestSupport:
         m = len(pdb.catalog)
         x = rng.randrange(0, 1 << m)
         z = x | rng.randrange(0, 1 << m)
-        sup_x = support(x, pdb).per_goal
-        sup_z = support(z, pdb).per_goal
+        sup_x = support(x, pdb)
+        sup_z = support(z, pdb)
         assert all(a <= b for a, b in zip(sup_z, sup_x))
 
     @pytest.mark.parametrize("m", [63, 64, 65, 130])
     def test_support_matches_brute_force(self, m):
         pdb = random_wide_pdb(m, seed=m)
         for premise in wide_premises(m, random.Random(m)):
-            assert support(premise, pdb).per_goal == brute_support(premise, pdb), premise
+            assert support(premise, pdb) == brute_support(premise, pdb), premise
 
     def test_support_matches_brute_force_on_pure_path(self, pure_scan):
         pdb = random_wide_pdb(65, seed=5)
         for premise in wide_premises(65, random.Random(5)):
-            assert support(premise, pdb).per_goal == brute_support(premise, pdb), premise
+            assert support(premise, pdb) == brute_support(premise, pdb), premise
 
     @given(seed=st.integers(0, 10_000), factor=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
@@ -96,9 +96,9 @@ class TestSupport:
         big = replicate(pdb, factor)
         for _ in range(8):
             premise = rng.randrange(0, 1 << len(pdb.catalog))
-            counts = support(premise, pdb).per_goal
+            counts = support(premise, pdb)
             assert counts == brute_support(premise, pdb)
-            assert support(premise, big).per_goal == tuple(c * factor for c in counts)
+            assert support(premise, big) == tuple(c * factor for c in counts)
 
 
 class TestWeights:
@@ -278,9 +278,3 @@ class TestRecommendedMinCorrelation:
         metrics = compute_metrics(3, 4, 5, 10)
         assert metrics.correlation > recommended_min_correlation(1.0)
         assert metrics.confidence > 0.5
-
-
-class TestSupportResult:
-    def test_total(self):
-        assert SupportResult((2, 0, 5)).total == 7
-        assert SupportResult(()).total == 0

@@ -27,14 +27,14 @@ class TestOracleSupport:
 
     def test_examples(self):
         records = from_database(self.db())
-        assert oracle_support({0, 2}, records).per_goal == (2, 0)
-        assert oracle_support(set(), records).per_goal == (2, 1)
-        assert oracle_support({1}, records).per_goal == (1, 1)
-        assert oracle_support({3}, records).per_goal == (0, 0)
+        assert oracle_support({0, 2}, records) == (2, 0)
+        assert oracle_support(set(), records) == (2, 1)
+        assert oracle_support({1}, records) == (1, 1)
+        assert oracle_support({3}, records) == (0, 0)
 
     def test_explicit_goal_count(self):
         records = [SetRecord(frozenset({0}), 0)]
-        assert oracle_support({0}, records, n_goals=3).per_goal == (1, 0, 0)
+        assert oracle_support({0}, records, n_goals=3) == (1, 0, 0)
 
     def test_matches_engine_support_randomized(self):
         rng = random.Random(7)
@@ -42,7 +42,7 @@ class TestOracleSupport:
             pdb = random_pdb(rng)
             records = from_database(pdb)
             premise = rng.randrange(0, 1 << len(pdb.catalog))
-            assert oracle_support(bits(premise), records).per_goal == support(premise, pdb).per_goal
+            assert oracle_support(bits(premise), records) == support(premise, pdb)
 
 
 class TestOracleMineEquivalence:
@@ -116,8 +116,8 @@ class TestOracleEnumerate:
         for rule in rules:
             result = support(rule.premise, pdb)
             expected = compute_metrics(
-                result.per_goal[rule.goal],
-                result.total,
+                result[rule.goal],
+                sum(result),
                 pdb.partition_sizes[rule.goal],
                 pdb.total,
             )
@@ -142,13 +142,13 @@ class TestSearchCompleteness:
             if depth == 1:
                 return None  # candidates always appear in the output
             result = oracle_support(set(prefix), records)
-            if result.total == 0:
+            if sum(result) == 0:
                 return "prefix lost all support"
-            n_goals = len(result.per_goal)
+            n_goals = len(result)
             sizes = [0] * n_goals
             for record in records:
                 sizes[record.goal] += 1
-            metrics = compute_metrics(result.per_goal[goal], result.total, sizes[goal], len(records))
+            metrics = compute_metrics(result[goal], sum(result), sizes[goal], len(records))
             if metrics.correlation < config.min_corr:
                 return "prefix fell below min_corr"
             return None

@@ -25,8 +25,10 @@ from goalrules import (
     read_table,
 )
 from goalrules.metrics import support
-from goalrules.preprocess import database_from_dict, database_to_dict, decode, replicate
-from goalrules.cli import main
+from goalrules.preprocess import database_from_dict, database_to_dict, replicate
+from goalrules.cli import _premise_names, main
+
+from conftest import generic_catalog
 
 DESC = {
     "columns": [
@@ -170,8 +172,9 @@ class TestCatalog:
         assert catalog[3].full_name == "color = red"
 
     def test_generic(self):
-        catalog = PropertyCatalog.generic(4)
+        catalog = generic_catalog(4)
         assert catalog.names() == ["P0", "P1", "P2", "P3"]
+        assert [p.column for p in catalog] == catalog.names()
 
     def test_bad_indices_rejected(self):
         from goalrules import Property
@@ -366,7 +369,7 @@ class TestPreprocess:
                 descs,
                 catalog,
             )
-            assert decode(code, catalog) == [f"T{t}", f"C{c}"]
+            assert _premise_names(code, catalog.names()) == [f"T{t}", f"C{c}"]
             assert goal == y
 
 
@@ -439,22 +442,9 @@ class TestEncoderMatchesReference:
         assert pdb.total == len(rows)
 
 
-class TestDecode:
-    def test_values(self):
-        catalog = PropertyCatalog.generic(4)
-        assert decode(0, catalog) == []
-        assert decode(5, catalog) == ["P0", "P2"]
-        assert decode(15, catalog) == ["P0", "P1", "P2", "P3"]
-
-    @pytest.mark.parametrize("bad", [-1, 16, 1 << 10])
-    def test_out_of_range(self, bad):
-        with pytest.raises(DataError, match="code out of catalog range"):
-            decode(bad, PropertyCatalog.generic(4))
-
-
 class TestDatabaseInvariants:
     def dump(self, sizes) -> dict:
-        pdb = PartitionedDatabase(((1,), (2,)), ("a", "b"), PropertyCatalog.generic(2))
+        pdb = PartitionedDatabase(((1,), (2,)), ("a", "b"), generic_catalog(2))
         doc = database_to_dict(pdb)
         doc["partition_sizes"] = list(sizes)
         return doc
@@ -465,7 +455,7 @@ class TestDatabaseInvariants:
 
     def test_label_count_must_match(self):
         with pytest.raises(DataError, match="per goal label"):
-            PartitionedDatabase(((1,), ()), ("a",), PropertyCatalog.generic(2))
+            PartitionedDatabase(((1,), ()), ("a",), generic_catalog(2))
         with pytest.raises(DataError, match="per goal label"):
             database_from_dict(self.dump((1, 1, 0)))
 
@@ -514,6 +504,18 @@ class TestDumpLoad:
         with pytest.raises(DataError, match="code out of catalog range"):
             load_database(path)
 
+    @pytest.mark.parametrize("index, record, column", [(0, 0b00111, "temp"), (2, 0b11001, "color")])
+    def test_load_rejects_two_properties_of_one_column(self, index, record, column):
+        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
+        doc["records"][index] = str(record)
+        message = f"^record {index}: more than one property of column '{column}'$"
+        with pytest.raises(DataError, match=message):
+            database_from_dict(doc)
+
+    def test_load_takes_several_properties_of_distinct_columns(self):
+        pdb = PartitionedDatabase(((0b111,), (0b110,)), ("a", "b"), generic_catalog(3))
+        assert database_from_dict(database_to_dict(pdb)).partitions == pdb.partitions
+
     def test_load_rejects_repeated_property_name(self, tmp_path):
         pdb = preprocess(TestPreprocess().rows(), make_descriptors())
         doc = database_to_dict(pdb)
@@ -551,7 +553,7 @@ class TestReplicate:
         # all frequency ratios preserved
         small = support(9, pdb)
         large = support(9, big)
-        assert large.per_goal == tuple(c * 3 for c in small.per_goal)
+        assert large == tuple(c * 3 for c in small)
 
     def test_bad_factor(self):
         pdb = preprocess(TestPreprocess().rows(), make_descriptors())
@@ -782,12 +784,12 @@ class TestBitmaps:
 
     def test_wide_catalog(self):
         pdb = PartitionedDatabase(
-            ((1 << 70, 3), (1 << 64 | 1 << 63,)), ("a", "b"), PropertyCatalog.generic(71)
+            ((1 << 70, 3), (1 << 64 | 1 << 63,)), ("a", "b"), generic_catalog(71)
         )
         assert pdb.bitmaps[0][70] == 0b01
         assert pdb.bitmaps[0][0] == pdb.bitmaps[0][1] == 0b10
         assert pdb.bitmaps[1][63] == pdb.bitmaps[1][64] == 1
-        assert support(1 << 70, pdb).per_goal == (1, 0)
+        assert support(1 << 70, pdb) == (1, 0)
 
     def test_empty_partition_has_zero_bitmaps(self):
         rows = [r for r in TestPreprocess().rows() if r["label"] == "no"]
@@ -799,7 +801,7 @@ class TestBitmaps:
         pytest.importorskip("numpy")
         rng = random.Random(m)
         parts = tuple(tuple(rng.randrange(1, 1 << m) for _ in range(n)) for n in (300, 0, 17))
-        catalog = PropertyCatalog.generic(m)
+        catalog = generic_catalog(m)
         built = PartitionedDatabase(parts, ("a", "b", "c"), catalog).bitmaps
         monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_np", None)
         pure = PartitionedDatabase(parts, ("a", "b", "c"), catalog).bitmaps
