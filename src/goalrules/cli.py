@@ -176,7 +176,9 @@ def write_mining_json(
     newline. Each rule comes from one template: names and goal labels are
     escaped once, ints print as ``int`` does and floats as ``float.__repr__``
     does, which is ``json``'s spelling for every finite float (weights with
-    a finite sum keep every quality finite).
+    a finite sum keep every quality finite). The criteria are a function of
+    the rule's goal and counts, so their text is made once per distinct
+    ``(goal, sup_k, sup)`` and reused.
     """
 
     def nested(value) -> str:
@@ -190,23 +192,29 @@ def write_mining_json(
         f'\n  "catalog": {nested(catalog_to_list(pdb.catalog))},'
         f'\n  "rules": ['
     )
+    counted: dict[tuple[int, int, int], str] = {}  # text from "goal" to "q"
     separator, closing = "\n", "]"
     for rule in ruleset.all_positive() + ruleset.all_negative():
-        m = rule.metrics
+        key = (rule.goal, rule.sup_k, rule.sup)
+        if key not in counted:
+            m = rule.metrics
+            counted[key] = (
+                f'\n      "goal": {goals[rule.goal]},'
+                f'\n      "sup_k": {rule.sup_k},'
+                f'\n      "sup": {rule.sup},'
+                f'\n      "f_g": {m.f_g!r},'
+                f'\n      "f_all": {m.f_all!r},'
+                f'\n      "conf": {m.confidence!r},'
+                f'\n      "lift": {m.lift!r},'
+                f'\n      "corr": {m.correlation!r},'
+                f'\n      "q": {m.quality!r},'
+            )
         premise = ",\n        ".join(_premise_names(rule.premise, names))
         premise = f"[\n        {premise}\n      ]" if premise else "[]"
         out.write(
             f"{separator}    {{"
             f'\n      "premise": {premise},'
-            f'\n      "goal": {goals[rule.goal]},'
-            f'\n      "sup_k": {rule.sup_k},'
-            f'\n      "sup": {rule.sup},'
-            f'\n      "f_g": {m.f_g!r},'
-            f'\n      "f_all": {m.f_all!r},'
-            f'\n      "conf": {m.confidence!r},'
-            f'\n      "lift": {m.lift!r},'
-            f'\n      "corr": {m.correlation!r},'
-            f'\n      "q": {m.quality!r},'
+            f"{counted[key]}"
             f'\n      "final": {"true" if rule.final else "false"},'
             f'\n      "negative": {"true" if rule.negative else "false"}'
             f"\n    }}"

@@ -6,12 +6,17 @@ candidates: a premise only ever grows by a candidate whose bit sits above
 its top bit, so every premise set is generated exactly once, and each
 extension ANDs one more property bitmap onto the bitmaps of its parent's
 premise (the path bitmaps) instead of recounting the whole premise.
+
+Every decision compares two integer products of a rule's counts with
+constants fixed per goal (``_Bounds``); floats are made only for output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from fractions import Fraction
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigError
 from .metrics import CriteriaWeights, RuleMetrics, compute_metrics
@@ -43,12 +48,14 @@ class MiningConfig:
             raise ConfigError("max_premise_len must be >= 1")
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """One mined rule: premise bits imply membership in a goal class.
 
-    ``final`` marks rules the search will not expand further; ``negative``
-    marks single-property rules arguing against the goal.
+    ``metrics`` derives the float criteria from the counts and ``basis``, the
+    goal's ``(n_k, total, weights)``. ``final`` marks rules the search will
+    not expand further; ``negative`` marks single-property rules arguing
+    against the goal. A named tuple: several times cheaper to build than a
+    frozen dataclass, and the search builds one per kept premise.
     """
 
     premise: int
@@ -56,9 +63,13 @@ class Rule:
     goal: int
     sup_k: int
     sup: int
-    metrics: RuleMetrics
+    basis: tuple[int, int, CriteriaWeights]
     final: bool
     negative: bool = False
+
+    @property
+    def metrics(self) -> RuleMetrics:
+        return compute_metrics(self.sup_k, self.sup, *self.basis)
 
 
 @dataclass(frozen=True)
@@ -91,15 +102,39 @@ class RuleSet:
         return RuleSet(self.positive, tuple(tuple(g) for g in negative))
 
 
-def _is_final(premise: int, metrics: RuleMetrics, top: int, config: MiningConfig) -> bool:
-    """Whether the search stops at this rule; ``top`` is the goal's highest
-    candidate code (0 when it has none)."""
-    if metrics.correlation >= config.corr_stop:
-        return True
-    if metrics.f_all < config.min_f_all:
-        return True
-    # no candidate bit above the premise's top bit
-    return top <= premise
+class _Bounds(NamedTuple):
+    """One goal's thresholds as integer constants. A threshold is the decimal
+    typed, ``c = cn/cd`` (0.35 is 7/20). For ``c > 0``, ``corr`` compares
+    with ``c`` as ``sup_k·total·cd`` does with ``sup·(n_k·cd + cn·(total −
+    n_k))``: ``corr_a``/``corr_b`` for ``min_corr``, ``stop_a``/``stop_b``
+    for ``corr_stop``. For ``c < 0``, ``corr <= c`` is ``sup_k·total·cd <=
+    sup·n_k·(cd + cn)``: ``neg_a``/``neg_b`` for ``neg_corr``. ``f_all <
+    min_f_all`` is ``sup_k < min_sup_k``.
+    """
+
+    corr_a: int
+    corr_b: int
+    stop_a: int
+    stop_b: int
+    min_sup_k: int
+    neg_a: int
+    neg_b: int
+
+    @classmethod
+    def of(cls, n_k: int, total: int, config: MiningConfig) -> "_Bounds":
+        thresholds = (config.min_corr, config.corr_stop, config.min_f_all, config.neg_corr)
+        low, stop, freq, neg = (Fraction(repr(float(x))) for x in thresholds)
+
+        def above(c: Fraction) -> tuple[int, int]:
+            return total * c.denominator, n_k * c.denominator + c.numerator * (total - n_k)
+
+        min_sup_k = -(-freq.numerator * total // freq.denominator)  # ceil(min_f_all·total)
+        negative = total * neg.denominator, n_k * (neg.denominator + neg.numerator)
+        return cls(*above(low), *above(stop), min_sup_k, *negative)
+
+    def stops(self, sup_k: int, sup: int) -> bool:
+        """Whether ``corr >= corr_stop`` or ``f_all < min_f_all``."""
+        return sup_k * self.stop_a >= sup * self.stop_b or sup_k < self.min_sup_k
 
 
 def _single_rules(pdb, config: MiningConfig) -> tuple[list[list[Rule]], list[list[Rule]]]:
@@ -109,30 +144,32 @@ def _single_rules(pdb, config: MiningConfig) -> tuple[list[list[Rule]], list[lis
 
     A property's count in goal k is the popcount of its bitmap there.
     Goals with an empty partition — or holding every record — get neither;
-    correlation carries no signal there.
+    correlation carries no signal there. A candidate is final when it
+    ``stops`` or no candidate bit sits above its own.
     """
-    total, weights = pdb.total, config.weights
+    total = pdb.total
     counts = [[bits.bit_count() for bits in maps] for maps in pdb.bitmaps]
     sups = [sum(column) for column in zip(*counts)]
     candidates: list[list[Rule]] = []
     negative: list[list[Rule]] = []
     for goal, n_k in enumerate(pdb.partition_sizes):
-        kept: list[tuple] = []
+        basis = (n_k, total, config.weights)
+        kept: list[tuple[int, int, int]] = []
         against: list[Rule] = []
         if 0 < n_k < total:
+            bounds = _Bounds.of(n_k, total, config)
             for i, (sup_k, sup) in enumerate(zip(counts[goal], sups)):
                 if sup == 0:
                     continue
-                metrics = compute_metrics(sup_k, sup, n_k, total, weights)
-                if metrics.correlation > config.min_corr:
-                    kept.append((1 << i, sup_k, sup, metrics))
-                elif metrics.correlation <= config.neg_corr:
-                    against.append(Rule(1 << i, 1, goal, sup_k, sup, metrics, final=True, negative=True))
+                if sup_k * bounds.corr_a > sup * bounds.corr_b:
+                    kept.append((1 << i, sup_k, sup))
+                elif sup_k * bounds.neg_a <= sup * bounds.neg_b:
+                    against.append(Rule(1 << i, 1, goal, sup_k, sup, basis, final=True, negative=True))
         top = kept[-1][0] if kept else 0
         candidates.append(
             [
-                Rule(code, 1, goal, sup_k, sup, metrics, _is_final(code, metrics, top, config))
-                for code, sup_k, sup, metrics in kept
+                Rule(code, 1, goal, sup_k, sup, basis, top <= code or bounds.stops(sup_k, sup))
+                for code, sup_k, sup in kept
             ]
         )
         negative.append(against)
@@ -154,15 +191,17 @@ def _grow(group: Sequence[Rule], pdb, config: MiningConfig) -> list[Rule]:
     of the next candidate to try; premises grow only by candidates above
     their top bit, so every premise set is reached once. An extension ANDs
     the candidate's bitmap onto the path bitmaps and takes one
-    ``bit_count`` per goal. It is dropped when it loses all support or
-    falls below ``min_corr``, and walked further unless final or at
-    ``max_premise_len``. Above the seeded candidates, whose path bitmaps
-    are their own, the stack holds only the current path.
+    ``bit_count`` per goal. It is dropped when it has no support in the
+    goal or its correlation is below ``min_corr``, and walked further
+    unless final or at ``max_premise_len``; both tests are the goal's
+    integer ``_Bounds``, and no float is made. Above the seeded candidates,
+    whose path bitmaps are their own, the stack holds only the current path.
     """
     if not group:
         return []
-    goal = group[0].goal
-    n_k, total, weights = pdb.partition_sizes[goal], pdb.total, config.weights
+    goal, basis = group[0].goal, group[0].basis
+    bounds = _Bounds.of(basis[0], basis[1], config)
+    corr_a, corr_b, stops = bounds.corr_a, bounds.corr_b, bounds.stops
     top = group[-1].premise
     limit = config.max_premise_len or len(group)
     columns = [[maps[c.premise.bit_length() - 1] for maps in pdb.bitmaps] for c in group]
@@ -175,19 +214,16 @@ def _grow(group: Sequence[Rule], pdb, config: MiningConfig) -> list[Rule]:
         stack.append((rule, paths, j + 1))  # its next candidate, after this subtree
         grown = [path & bits for path, bits in zip(paths, columns[j])]
         counts = [path.bit_count() for path in grown]
-        sup = sum(counts)
-        if sup == 0:
-            continue
-        metrics = compute_metrics(counts[goal], sup, n_k, total, weights)
-        if metrics.correlation < config.min_corr:
+        sup, sup_k = sum(counts), counts[goal]
+        if sup_k == 0 or sup_k * corr_a < sup * corr_b:  # corr < min_corr
             continue
         premise = rule.premise | group[j].premise
-        final = _is_final(premise, metrics, top, config)
-        child = Rule(premise, rule.premise_len + 1, goal, counts[goal], sup, metrics, final)
+        final = top <= premise or stops(sup_k, sup)
+        child = Rule(premise, rule.premise_len + 1, goal, sup_k, sup, basis, final)
         rules.append(child)
         if not final and child.premise_len < limit:
             stack.append((child, grown, j + 1))
-    rules.sort(key=lambda r: (r.premise_len, r.premise))
+    rules.sort(key=attrgetter("premise_len", "premise"))
     return rules
 
 

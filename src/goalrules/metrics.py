@@ -6,13 +6,15 @@ the popcount of the AND of its properties' bitmaps. Its cost depends on
 the premise length and the record count, not on the catalog width.
 
 All criteria are derived from exact integer counts in one place, so every
-caller — miner, oracle, CLI — sees bit-identical floats for the same counts.
+caller — printed rules, oracle, benchmark — sees bit-identical floats for the
+same counts. The miner decides on the counts themselves and makes no float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from fractions import Fraction
+from math import inf, nextafter
 
 from .errors import ConfigError
 from .preprocess import set_bits
@@ -137,10 +139,15 @@ def compute_metrics(
 def recommended_min_correlation(p: float) -> float:
     """Correlation threshold guaranteeing confidence > 0.5 for a goal whose
     outside/inside record ratio is ``p``; rises from 0 toward 0.5 as the
-    goal gets rarer."""
+    goal gets rarer. ``p`` is taken at its exact value, so pass
+    ``Fraction(total - n_k, n_k)`` where a float cannot hold the ratio. The
+    result's decimal, which is how ``mine`` reads a threshold, is never
+    below the exact threshold ``(p - 1) / 2p``."""
     if p <= 0:
         raise ValueError("partition ratio must be positive")
-    return _positive_correlation(1, 2, p)
+    a, b = p.as_integer_ratio()
+    r = _positive_correlation(1, 2, p)
+    return r if Fraction(repr(r)) >= Fraction(a - b, 2 * a) else nextafter(r, inf)
 
 
 def _positive_correlation(sup_k: int, sup: int, p: float) -> float:
@@ -151,9 +158,9 @@ def _positive_correlation(sup_k: int, sup: int, p: float) -> float:
     It is ``conf - (1 - conf) / p`` as one correctly-rounded division of
     exact integers (``p`` as its integer ratio), so it rises with ``sup_k``
     and a confidence of 1 gives exactly 1. At ``sup_k / sup == 1/2`` it is
-    ``recommended_min_correlation(p)``, so that threshold's guarantee holds
-    for the floats: no confidence of at most 0.5 yields a correlation above
-    it.
+    ``recommended_min_correlation(p)`` or one ulp below it, so that
+    threshold's guarantee holds for the floats too: no confidence of at most
+    0.5 yields a correlation above it.
     """
     a, b = p.as_integer_ratio()
     return (sup_k * a - (sup - sup_k) * b) / (sup * a)

@@ -2,19 +2,22 @@
 small instances.
 
 Records are explicit property-index sets and support is subset counting,
-so nothing here touches the engine's bitmap support kernel. Shared with the
-engine is only the closed-form criteria arithmetic.
+so nothing here touches the engine's bitmap support kernel. Keep, prune,
+final and negative decisions compare exact rationals (``exact_correlation``
+and ``Fraction`` thresholds, read as typed), not the engine's integer
+products; shared with the engine is only ``compute_metrics``, behind the
+printed floats of ``Rule.metrics``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
 from goalrules.engine import MiningConfig, Rule, RuleSet
-from goalrules.metrics import compute_metrics
 
 ENUMERATION_LIMIT = 2_000_000
 
@@ -64,6 +67,20 @@ def _code(indices: Sequence[int]) -> int:
     return sum(1 << i for i in indices)
 
 
+def exact_correlation(sup_k: int, sup: int, n_k: int, total: int) -> Fraction:
+    """The correlation criterion as an exact rational: ``lift - 1`` when the
+    lift is at most 1, else ``(lift - 1) / p`` with ``p`` the goal's
+    outside/inside record ratio, so it spans [-1, 1]."""
+    lift = Fraction(sup_k * total, sup * n_k)
+    if lift <= 1:
+        return lift - 1
+    return (lift - 1) / Fraction(total - n_k, n_k)
+
+
+def _threshold(x: float) -> Fraction:
+    return Fraction(repr(float(x)))
+
+
 def _partition_sizes(records: Sequence[SetRecord], n_goals: int) -> list[int]:
     sizes = [0] * n_goals
     for record in records:
@@ -86,15 +103,9 @@ def oracle_mine(
     total = len(records)
     sizes = _partition_sizes(records, n_goals)
     observed = sorted({i for r in records for i in r.properties})
-
-    def metrics_for(indices: tuple[int, ...], goal: int):
-        result = oracle_support(indices, records, n_goals)
-        if sum(result) == 0:
-            return None, result
-        return (
-            compute_metrics(result[goal], sum(result), sizes[goal], total, config.weights),
-            result,
-        )
+    min_corr, corr_stop, min_f_all, neg_corr = map(
+        _threshold, (config.min_corr, config.corr_stop, config.min_f_all, config.neg_corr)
+    )
 
     per_goal: list[list[Rule]] = []
     negative: list[list[Rule]] = []
@@ -103,40 +114,46 @@ def oracle_mine(
             per_goal.append([])
             negative.append([])
             continue
+        basis = (sizes[goal], total, config.weights)
+
+        def rule_for(indices: tuple[int, ...]) -> tuple[Rule, Fraction] | None:
+            """The rule with a provisional ``final`` of False, and its exact
+            correlation; None without support."""
+            result = oracle_support(indices, records, n_goals)
+            if sum(result) == 0:
+                return None
+            rule = Rule(_code(indices), len(indices), goal, result[goal], sum(result), basis, False)
+            return rule, exact_correlation(rule.sup_k, rule.sup, sizes[goal], total)
+
         candidates: list[tuple[int, ...]] = []
         against: list[Rule] = []
         by_premise: dict[tuple[int, ...], Rule] = {}
+        found: dict[tuple[int, ...], tuple[Rule, Fraction]] = {}
         for i in observed:
-            metrics, result = metrics_for((i,), goal)
-            if metrics is None:
+            scored = rule_for((i,))
+            if scored is None:
                 continue
-            if metrics.correlation > config.min_corr:
+            rule, corr = scored
+            if corr > min_corr:
                 candidates.append((i,))
-            elif metrics.correlation <= config.neg_corr:
-                sup_k = result[goal]
-                against.append(Rule(_code((i,)), 1, goal, sup_k, sum(result), metrics, True, True))
+                found[(i,)] = scored
+            elif corr <= neg_corr:
+                against.append(rule._replace(final=True, negative=True))
         negative.append(against)
         top_index = candidates[-1][0] if candidates else -1
 
-        def finalize(indices: tuple[int, ...], metrics) -> bool:
-            if metrics.correlation >= config.corr_stop:
-                return True
-            if metrics.f_all < config.min_f_all:
-                return True
-            return indices[-1] >= top_index
+        def finalize(indices: tuple[int, ...], scored: tuple[Rule, Fraction]) -> Rule:
+            rule, corr = scored
+            final = (
+                corr >= corr_stop
+                or Fraction(rule.sup_k, total) < min_f_all
+                or indices[-1] >= top_index
+            )
+            return rule._replace(final=final)
 
         level: list[tuple[int, ...]] = []
         for indices in candidates:
-            metrics, result = metrics_for(indices, goal)
-            by_premise[indices] = Rule(
-                _code(indices),
-                1,
-                goal,
-                result[goal],
-                sum(result),
-                metrics,
-                finalize(indices, metrics),
-            )
+            by_premise[indices] = finalize(indices, found[indices])
             level.append(indices)
         rules = [by_premise[p] for p in level]
         while level and (config.max_premise_len is None or len(level[0]) < config.max_premise_len):
@@ -149,18 +166,10 @@ def oracle_mine(
                     if j <= indices[-1]:
                         continue
                     extended = indices + (j,)
-                    metrics, result = metrics_for(extended, goal)
-                    if metrics is None or metrics.correlation < config.min_corr:
+                    scored = rule_for(extended)
+                    if scored is None or scored[1] < min_corr:
                         continue
-                    by_premise[extended] = Rule(
-                        _code(extended),
-                        len(extended),
-                        goal,
-                        result[goal],
-                        sum(result),
-                        metrics,
-                        finalize(extended, metrics),
-                    )
+                    by_premise[extended] = finalize(extended, scored)
                     grown.append(extended)
             if not grown:
                 break
@@ -202,19 +211,9 @@ def oracle_enumerate(
             for goal in range(n_goals):
                 if sizes[goal] == 0:
                     continue
-                metrics = compute_metrics(
-                    result[goal], sum(result), sizes[goal], total, config.weights
-                )
+                basis = (sizes[goal], total, config.weights)
                 rules.append(
-                    Rule(
-                        _code(indices),
-                        length,
-                        goal,
-                        result[goal],
-                        sum(result),
-                        metrics,
-                        False,
-                    )
+                    Rule(_code(indices), length, goal, result[goal], sum(result), basis, False)
                 )
     rules.sort(key=lambda r: (r.goal, r.premise_len, r.premise))
     return rules

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -496,12 +497,43 @@ def _without_timings(out: bytes) -> list[bytes]:
     ]
 
 
+class TestOutputPin:
+    """Whole outputs on a synthetic table of 1,266 positive and 35 negative
+    rules, pinned by sha256: the JSON with its two timing lines removed, and
+    the CSV. The digests were taken while the search still built float
+    criteria for every premise, so they pin the integer decisions and the
+    emitter's per-count reuse of criteria text to the same bytes."""
+
+    ARGS = [
+        "mine", "--db", "s.csv", "--dbd", "s.dbd.json", "--negative",
+        "--min-corr", "0.3", "--max-premise-len", "4",
+    ]
+
+    @pytest.fixture(autouse=True)
+    def synthetic(self, tmp_path, monkeypatch):
+        table, description = synthetic_tables(600, 10, categorical=1, seed=3)
+        save_tables(table, description, tmp_path / "s.csv", tmp_path / "s.dbd.json")
+        monkeypatch.chdir(tmp_path)  # the JSON report names the table by this relative path
+
+    def test_json(self, capsys):
+        assert main(self.ARGS + ["--format", "json"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(json.loads(out)["rules"]) == 1301
+        digest = hashlib.sha256(b"\n".join(_without_timings(out))).hexdigest()
+        assert digest == "cec0d32c0b7c0a021bf36c3e783a12e564db93cf174a1a865a6bdbacacd3162e"
+
+    def test_csv(self, capsys):
+        assert main(self.ARGS + ["--format", "csv"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "3ed801d1e33c76bd069df822764ddc9fd115389578dee7dee55a7d51cdfa2c87"
+
+
 class TestWithoutNumpy:
     @pytest.mark.parametrize("continuous", [10, 22], ids=["30-properties", "66-properties"])
     def test_mine_matches_the_numpy_run(self, tmp_path, continuous):
         """A ``numpy`` whose import fails sends the program down its
         pure-Python fallback, with the same output apart from the timings."""
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
         import goalrules
 
         db, dbd = tmp_path / "s.csv", tmp_path / "s.dbd.json"

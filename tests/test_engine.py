@@ -374,3 +374,40 @@ class TestPairBounds:
         sup_ij = support((1 << i) | (1 << j), pdb)
         for k, n_k in enumerate(pdb.partition_sizes):
             assert max(0, sup_i[k] + sup_j[k] - n_k) <= sup_ij[k] <= min(sup_i[k], sup_j[k])
+
+
+class TestExactTies:
+    """Thresholds are the decimals as typed, and a rule whose exact
+    correlation equals one is decided as the comparison says, whatever the
+    rounding of its float correlation."""
+
+    def test_candidate_at_min_corr_is_dropped(self):
+        # P0: sup_k=1, sup=2 in a goal of 3 among 13 records; corr is 7/20
+        pdb = build_pdb([[1, 2, 2], [1] + [2] * 9], m=2)
+        assert compute_metrics(1, 2, 3, 13).correlation > 0.35
+        assert create_candidates(pdb, MiningConfig(min_corr=0.35))[0] == []
+        assert [r.premise for r in mine(pdb, MiningConfig(min_corr=0.35)).positive[0]] == []
+
+    def test_extension_at_min_corr_is_kept(self):
+        # P0 and P1: corr 1/3 each; P0P1: sup_k=4, sup=5, n_k=6, total=8, corr 1/5
+        pdb = build_pdb([[3, 3, 3, 3, 1, 2], [3, 4]], m=3)
+        assert compute_metrics(4, 5, 6, 8).correlation < 0.2
+        rules = {r.premise: r for r in mine(pdb, MiningConfig(min_corr=0.2)).positive[0]}
+        assert sorted(rules) == [1, 2, 3]
+        assert (rules[3].sup_k, rules[3].sup) == (4, 5)
+
+    def test_corr_stop_is_inclusive(self):
+        # P0: sup_k=4, sup=5, n_k=6, total=8, corr 1/5; P1 lies above it
+        pdb = build_pdb([[3, 3, 1, 1, 2, 4], [1, 4]], m=3)
+        assert compute_metrics(4, 5, 6, 8).correlation < 0.2
+        rules = {r.premise: r for r in mine(pdb, MiningConfig(min_corr=0.1, corr_stop=0.2)).positive[0]}
+        assert rules[1].final
+        assert 3 not in rules
+
+    def test_neg_corr_is_inclusive(self):
+        # P0: sup_k=2, sup=5 in a goal of 3 among 6 records; corr is -1/5
+        pdb = build_pdb([[1, 1, 2], [1, 1, 1]], m=2)
+        assert compute_metrics(2, 5, 3, 6).correlation > -0.2
+        config = MiningConfig(neg_corr=-0.2)
+        assert [r.premise for r in mine(pdb, config).negative[0]] == [1]
+        assert [r.premise for r in mine_negative(pdb, config)[0]] == [1]

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,9 @@ from goalrules import (
     ConfigError,
     CriteriaWeights,
     PartitionedDatabase,
+    MiningConfig,
     compute_metrics,
+    mine,
     recommended_min_correlation,
 )
 from goalrules.metrics import UNIT_WEIGHTS, quality, support
@@ -278,3 +281,19 @@ class TestRecommendedMinCorrelation:
         metrics = compute_metrics(3, 4, 5, 10)
         assert metrics.correlation > recommended_min_correlation(1.0)
         assert metrics.confidence > 0.5
+
+    def test_typed_decimal_never_below_exact_threshold(self):
+        # mine reads a threshold as its decimal; at a confidence of 1/2 the
+        # exact correlation is (N - 2n_k) / 2(N - n_k), often just above the
+        # nearest float, 5/22 among them
+        for total in range(3, 150):
+            for n_k in range(1, total // 2 + 1):
+                threshold = recommended_min_correlation(Fraction(total - n_k, n_k))
+                exact = Fraction(total - 2 * n_k, 2 * (total - n_k))
+                assert Fraction(repr(threshold)) >= exact, (n_k, total)
+
+    def test_mine_keeps_no_half_confidence_candidate(self):
+        # P0 in 6 of the goal's 12 records and 6 of the other 22: conf 1/2, corr 5/22
+        pdb = build_pdb([[1] * 6 + [2] * 6, [1] * 6 + [2] * 16], m=2)
+        config = MiningConfig(min_corr=recommended_min_correlation(Fraction(22, 12)))
+        assert [r.premise for r in mine(pdb, config).positive[0]] == []

@@ -6,7 +6,16 @@ import pytest
 from goalrules import MiningConfig, compute_metrics, mine
 from goalrules.metrics import support
 from conftest import assert_rulesets_equal, build_pdb, random_pdb
-from oracle import SetRecord, from_database, oracle_enumerate, oracle_mine, oracle_support
+from fractions import Fraction
+
+from oracle import (
+    SetRecord,
+    exact_correlation,
+    from_database,
+    oracle_enumerate,
+    oracle_mine,
+    oracle_support,
+)
 
 
 def bits(code):
@@ -66,6 +75,36 @@ class TestOracleMineEquivalence:
             assert_rulesets_equal(engine_rules, oracle_rules)
             negatives += sum(map(len, engine_rules.negative))
         assert negatives > 20  # the negative check must bite
+
+    @pytest.mark.parametrize(
+        "parts, config",
+        [
+            ([[1, 2, 2], [1] + [2] * 9], MiningConfig(min_corr=0.35)),
+            ([[3, 3, 3, 3, 1, 2], [3, 4]], MiningConfig(min_corr=0.2)),
+            ([[3, 3, 1, 1, 2, 4], [1, 4]], MiningConfig(min_corr=0.1, corr_stop=0.2)),
+            ([[1, 1, 2], [1, 1, 1]], MiningConfig(neg_corr=-0.2)),
+        ],
+        ids=["min_corr-candidate", "min_corr-extension", "corr_stop", "neg_corr"],
+    )
+    def test_matches_engine_at_exact_ties(self, parts, config):
+        """The databases of ``test_engine.TestExactTies``: a rule's exact
+        correlation equals a threshold, and its float one is off by an ulp."""
+        pdb = build_pdb(parts, m=3)
+        assert_rulesets_equal(mine(pdb, config), oracle_mine(from_database(pdb), 2, config))
+
+    def test_exact_correlation(self):
+        assert exact_correlation(1, 2, 3, 13) == Fraction(7, 20)
+        assert exact_correlation(0, 4, 3, 13) == -1
+        assert exact_correlation(3, 3, 3, 13) == 1
+        assert exact_correlation(3, 13, 3, 13) == 0
+        rng = random.Random(5)
+        for _ in range(200):
+            total = rng.randint(2, 60)
+            n_k = rng.randint(1, total - 1)
+            sup = rng.randint(1, total)
+            sup_k = rng.randint(max(0, sup - (total - n_k)), min(sup, n_k))
+            exact = exact_correlation(sup_k, sup, n_k, total)
+            assert compute_metrics(sup_k, sup, n_k, total).correlation == pytest.approx(float(exact), abs=1e-15)
 
     def test_corr_drop_database(self):
         pdb = build_pdb([[3, 3, 1, 1, 1, 1, 2, 2, 2, 2], [3, 3, 3, 3] + [4] * 16], m=3)

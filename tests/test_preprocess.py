@@ -798,7 +798,7 @@ class TestBitmaps:
 
     @pytest.mark.parametrize("m", [5, 64, 65, 130])
     def test_pure_builder_matches_numpy(self, m, monkeypatch):
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
         rng = random.Random(m)
         parts = tuple(tuple(rng.randrange(1, 1 << m) for _ in range(n)) for n in (300, 0, 17))
         catalog = generic_catalog(m)
