@@ -107,11 +107,11 @@ def diabetes_database() -> PartitionedDatabase:
 def save_tables(rows: Sequence[dict], description: dict, db_path, dbd_path) -> None:
     """Write rows as CSV and the description as JSON."""
     fieldnames = [c["name"] for c in description["columns"]]
-    with open(db_path, "w", newline="") as handle:
+    with open(db_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
-    with open(dbd_path, "w") as handle:
+    with open(dbd_path, "w", encoding="utf-8") as handle:
         json.dump(description, handle, indent=2)
         handle.write("\n")
 

@@ -528,38 +528,104 @@ class TestOutputPin:
         assert digest == "3ed801d1e33c76bd069df822764ddc9fd115389578dee7dee55a7d51cdfa2c87"
 
 
+# Run first in a child interpreter: every import of numpy or of a numpy
+# submodule then fails as it would where numpy is not installed.
+BLOCK_NUMPY = """
+import sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoNumpy())
+"""
+PREPROCESS = """
+from goalrules.preprocess import _np, preprocess_csv
+pdb = preprocess_csv(sys.argv[1], sys.argv[2], skip_missing=True)
+print(_np is None, pdb.partitions, pdb.skipped_rows)
+"""
+MINE = "from goalrules.cli import run; sys.argv[0] = 'goalrules'; run()"
+
+
 class TestWithoutNumpy:
     @pytest.mark.parametrize("continuous", [10, 22], ids=["30-properties", "66-properties"])
     def test_mine_matches_the_numpy_run(self, tmp_path, continuous):
-        """A ``numpy`` whose import fails sends the program down its
-        pure-Python fallback, with the same output apart from the timings."""
+        """With numpy's import blocked, the program takes its pure-Python
+        paths: the same partitions, and the same output apart from the
+        timings."""
         pytest.importorskip("numpy", exc_type=ImportError)
         import goalrules
 
         db, dbd = tmp_path / "s.csv", tmp_path / "s.dbd.json"
         table, description = synthetic_tables(400, continuous, categorical=0, seed=5)
         save_tables(table, description, db, dbd)
-        stub = tmp_path / "stub"
-        (stub / "numpy").mkdir(parents=True)
-        (stub / "numpy" / "__init__.py").write_text('raise ImportError("numpy is hidden")\n')
-        src = str(Path(goalrules.__file__).parent.parent)
+        with open(db, "a") as handle:  # one row for --skip-missing to drop
+            handle.write("," * continuous + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(goalrules.__file__).parent.parent))
+        argv = ["mine", "--negative", "--format", "json", "--min-corr", "0.2", "--max-premise-len", "3",
+                "--skip-missing", "--db", str(db), "--dbd", str(dbd)]
         outputs = []
-        for path in (src, os.pathsep.join([str(stub), src])):
-            env = dict(os.environ, PYTHONPATH=path)
-            probe = "from goalrules.preprocess import _np; print(_np is None)"
-            hidden = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, timeout=60)
-            assert hidden.stdout == (b"False\n" if path == src else b"True\n")
-            argv = ["mine", "--negative", "--format", "json", "--min-corr", "0.2", "--max-premise-len", "3"]
-            done = subprocess.run(
-                [sys.executable, "-m", "goalrules.cli", *argv, "--db", str(db), "--dbd", str(dbd)],
-                env=env, capture_output=True, timeout=120,
-            )
-            assert done.returncode == 0, done.stderr
-            outputs.append(done.stdout)
-        doc = json.loads(outputs[0])
+        for prelude in ("import sys\n", BLOCK_NUMPY):
+            for code, args in ((PREPROCESS, [str(db), str(dbd)]), (MINE, argv)):
+                done = subprocess.run(
+                    [sys.executable, "-c", prelude + code, *args], env=env, capture_output=True, timeout=120
+                )
+                assert done.returncode == 0, done.stderr
+                outputs.append(done.stdout)
+        with_numpy, _, without, _ = outputs
+        assert with_numpy.startswith(b"False ") and without.startswith(b"True ")
+        pdb = preprocess_csv(db, dbd, skip_missing=True)
+        assert with_numpy == f"False {pdb.partitions} 1\n".encode()
+        assert without == b"True" + with_numpy[5:]
+        doc = json.loads(outputs[1])
         assert len(doc["catalog"]) == 3 * continuous
         assert any(r["negative"] for r in doc["rules"]) and any(len(r["premise"]) > 1 for r in doc["rules"])
-        assert _without_timings(outputs[1]) == _without_timings(outputs[0])
+        assert _without_timings(outputs[3]) == _without_timings(outputs[1])
+
+
+class TestUtf8Input:
+    def test_byte_order_mark_mines_the_same_bytes(self, table, tmp_path, capsys):
+        db, dbd = table
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(db).read_bytes())
+        outputs = {}
+        for path in (db, str(marked)):
+            for fmt in ("json", "csv", "table"):
+                assert main(["mine", "--negative", "--format", fmt, "--db", path, "--dbd", dbd]) == 0
+                out = capsys.readouterr().out.replace(path, "DB")
+                outputs[path, fmt] = [line for line in out.splitlines() if "_seconds" not in line]
+            dump = tmp_path / "dump.json"
+            assert main(["preprocess", "--db", path, "--dbd", dbd, "--out", str(dump)]) == 0
+            capsys.readouterr()
+            outputs[path, "dump"] = dump.read_bytes()
+        for key in ("json", "csv", "table", "dump"):
+            assert outputs[str(marked), key] == outputs[db, key]
+        assert len(json.loads("\n".join(outputs[db, "json"]))["rules"]) > 1
+
+    def test_non_ascii_label_under_the_c_locale(self, tmp_path):
+        import goalrules
+
+        doc = json.loads(json.dumps(DESC))
+        doc["columns"][1]["values"] = ["a", "grün"]
+        db, dbd = tmp_path / "t.csv", tmp_path / "t.dbd.json"
+        lines = [",".join(row).replace(",b,", ",grün,") for row in ROWS]
+        db.write_text("x,f,outcome\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        dbd.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        env = dict(
+            os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+            PYTHONPATH=str(Path(goalrules.__file__).parent.parent),
+        )
+        probe = "import locale; print(locale.getpreferredencoding(False))"
+        encoding = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, timeout=60)
+        assert encoding.stdout.strip().lower() not in (b"utf-8", b"utf8")
+        done = subprocess.run(
+            [sys.executable, "-m", "goalrules.cli", "mine", "--format", "json", "--db", str(db), "--dbd", str(dbd)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        catalog = json.loads(done.stdout)["catalog"]
+        assert [p["full_name"] for p in catalog if p["column"] == "f"] == ["f = a", "f = grün"]
 
 
 class TestPublicNames:

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -512,6 +513,25 @@ class TestDumpLoad:
         with pytest.raises(DataError, match=message):
             database_from_dict(doc)
 
+    @given(case=described_rows(), data=st.data())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_load_rejects_a_second_property_of_any_column(self, tmp_path_factory, case, data):
+        descs, rows = case
+        pdb = preprocess(rows, descs)
+        path = tmp_path_factory.mktemp("dump") / "db.json"
+        dump_database(pdb, path)
+        assert load_database(path).partitions == pdb.partitions
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        index = data.draw(st.integers(0, len(doc["records"]) - 1))
+        record = int(doc["records"][index])
+        column = data.draw(st.sampled_from([d.name for d in descs if not d.is_target]))
+        unset = [p["index"] for p in doc["catalog"] if p["column"] == column and not record >> p["index"] & 1]
+        doc["records"][index] = str(record | 1 << data.draw(st.sampled_from(unset)))
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        message = f"record {index}: more than one property of column {column!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_database(path)
+
     def test_load_takes_several_properties_of_distinct_columns(self):
         pdb = PartitionedDatabase(((0b111,), (0b110,)), ("a", "b"), generic_catalog(3))
         assert database_from_dict(database_to_dict(pdb)).partitions == pdb.partitions
@@ -692,6 +712,27 @@ class TestCsv:
         assert capsys.readouterr().err.startswith(f"error: cannot read {dbd}: ")
 
 
+class TestCsvHeader:
+    @given(
+        header=st.lists(st.sampled_from(["temp", "color", "label"]), min_size=1, max_size=4).filter(
+            lambda header: header != ["temp", "color", "label"]
+        ),
+        bom=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_duplicate_or_reordered_header(self, tmp_path_factory, capsys, header, bom):
+        db, dbd = TestCsv().write_files(tmp_path_factory.mktemp("header"), ["5,red,no"])
+        db.write_text("\ufeff" * bom + ",".join(header) + "\n5,red,no\n", encoding="utf-8")
+        message = f"CSV header {header} does not match description columns ['temp', 'color', 'label']"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            preprocess_csv(db, dbd)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            next(read_table(db, make_descriptors()))
+        for command in ("preprocess", "mine"):
+            assert main([command, "--db", str(db), "--dbd", str(dbd)]) == 3
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # one bad cell or bad row, each made from a row's cells; two defects may
 # fall on one row, so each keeps whatever cells it does not replace
 DEFECTS = {
@@ -774,6 +815,223 @@ class TestChunkedCsv:
             else:
                 pdb = preprocess_csv(db, dbd, skip_missing=skip_missing)
                 assert (pdb.partitions, pdb.skipped_rows) == expected
+
+
+def preprocess_outcome(read, skip_missing):
+    """``(partitions, skipped_rows)`` of one preprocessing call, or the text
+    of the ``DataError`` it raised."""
+    try:
+        pdb = read(skip_missing=skip_missing)
+    except DataError as exc:
+        return str(exc)
+    return pdb.partitions, pdb.skipped_rows
+
+
+def assert_reads_as_cells(db, dbd):
+    """``preprocess_csv`` against ``csv.reader`` and the cell encoders, with
+    and without ``skip_missing``; returns the outcome without."""
+    descriptors = parse_description(dbd.read_text(encoding="utf-8"))
+    outcomes = []
+    for skip_missing in (False, True):
+        expected = preprocess_outcome(
+            lambda **kw: preprocess(read_table(db, descriptors), descriptors, **kw), skip_missing
+        )
+        assert preprocess_outcome(lambda **kw: preprocess_csv(db, dbd, **kw), skip_missing) == expected
+        outcomes.append(expected)
+    return outcomes[0]
+
+
+# labels with inner spaces, non-ASCII text, a comma and a line break that
+# only a quoted cell can hold, and quotes, which only csv.reader unquotes
+HOSTILE_DESC = {
+    "columns": [
+        {"name": "temp", "kind": "continuous", "short": "T", "classes": 3, "values": [10.0, 20.0]},
+        {
+            "name": "color", "kind": "categorical", "short": "C", "classes": 5,
+            "values": ["red", "dark blue", "grün", "a,b\nc", '"red"'],
+        },
+        {"name": "label", "kind": "target", "short": "Y", "classes": 2, "values": ["no", "yes"]},
+    ]
+}
+FIELD_LIMIT = 40  # csv.field_size_limit() while the hostile tables are read
+GOOD_CELLS = (
+    ["5", "10", "12.5", "-3e1", "20", "25", "1e-3"],
+    ["red", "dark blue", "grün", '"a,b\nc"', '"red"'],
+    ["no", "yes"],
+)
+# each a cell that one of the two readers might take differently
+HOSTILE_CELLS = [
+    " 25", "25 ", "\t5", "5\x0b", "\xa025", "25\u3000", "5\x85", "1 5", "1_0", "١٥", "\uff11\uff15",
+    "nan", "inf", "-inf", "1e999", "", '"5"', '"5', "5\x00", "x" * (FIELD_LIMIT + 1),
+    "1" + "0" * FIELD_LIMIT, "red\x00", "yes\x00", '"""red"""',
+    " red", "red ", "dark  blue", "dark\u3000blue", "green", "re\x00d", '"dark\nblue"',
+    "bl\udcffue", "gr\u00fcn\xa0", "gr\u00fcn ", "dark blues", "yess",
+]
+EXTRA_LINES = ["", "  ", "\t", ",", ",,", "5,red", "5,red,no,9"]
+
+
+@st.composite
+def hostile_csv(draw):
+    """The bytes of a ``HOSTILE_DESC`` table: 1-600 good rows, up to four
+    of them replaced by a row with a hostile cell or by a hostile line, with
+    ``\\n``, ``\\r\\n`` or lone ``\\r`` line ends, and sometimes a byte order
+    mark."""
+    rng = draw(st.randoms(use_true_random=False))
+    count = draw(st.integers(1, 600))
+    lines = [",".join(map(rng.choice, GOOD_CELLS)) for _ in range(count)]
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, count - 1))
+        if draw(st.booleans()):
+            lines[at] = draw(st.sampled_from(EXTRA_LINES))
+        else:
+            cells = lines[at].split(",") if lines[at].count(",") == 2 else ["5", "red", "no"]
+            cells[draw(st.integers(0, 2))] = draw(st.sampled_from(HOSTILE_CELLS))
+            lines[at] = ",".join(cells)
+    ends = draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"], ["\n"] * 50 + ["\r"]]))
+    body = "".join(line + rng.choice(ends) for line in lines)
+    if draw(st.booleans()):
+        body = body.rstrip("\r\n")  # no line end after the last row
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + "temp,color,label\n" + body).encode("utf-8", "surrogateescape")
+
+
+@pytest.fixture
+def field_limit():
+    saved = csv.field_size_limit(FIELD_LIMIT)
+    yield FIELD_LIMIT
+    csv.field_size_limit(saved)
+
+
+def write_hostile(directory, data):
+    db, dbd = directory / "h.csv", directory / "h.dbd.json"
+    db.write_bytes(data)
+    dbd.write_text(json.dumps(HOSTILE_DESC), encoding="utf-8")
+    return db, dbd
+
+
+class TestBlockReader:
+    """``preprocess_csv`` reads plain blocks with numpy and the rest with
+    ``csv.reader``; either way a table reads as ``preprocess(read_table())``
+    reads it."""
+
+    @pytest.mark.parametrize("numpy_absent", [False, True], ids=["numpy", "pure_scan"])
+    @given(data=hostile_csv(), block=st.sampled_from([40, 300, 4_000, 1 << 16]))
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_matches_the_cell_path(
+        self, request, tmp_path_factory, monkeypatch, field_limit, numpy_absent, data, block
+    ):
+        if numpy_absent:
+            request.getfixturevalue("pure_scan")
+        monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_BLOCK_CHARS", block)
+        assert_reads_as_cells(*write_hostile(tmp_path_factory.mktemp("blocks"), data))
+
+    @pytest.mark.parametrize("cell", HOSTILE_CELLS)
+    def test_each_hostile_cell(self, tmp_path, monkeypatch, field_limit, cell):
+        # the cell in each column of one row of the first block, and in row
+        # 300 of a later block, after blocks of the other path
+        monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_BLOCK_CHARS", 1_000)
+        good = ["12.5,red,no"] * 400
+        for column in range(3):
+            for at in (3, 299):
+                cells = good[at].split(",")
+                cells[column] = cell
+                lines = good[:at] + [",".join(cells)] + good[at + 1 :]
+                data = ("temp,color,label\n" + "\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+                assert_reads_as_cells(*write_hostile(tmp_path, data))
+
+    @pytest.mark.parametrize("line", EXTRA_LINES)
+    def test_each_hostile_line(self, tmp_path, monkeypatch, line):
+        # in the first block, before a bad row in a later one
+        monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_BLOCK_CHARS", 1_000)
+        lines = ["12.5,red,no"] * 400
+        lines[3] = line
+        lines[299] = "12.5,green,no"
+        data = ("temp,color,label\n" + "\n".join(lines) + "\n").encode()
+        assert isinstance(assert_reads_as_cells(*write_hostile(tmp_path, data)), str)
+
+    def write_rows(self, tmp_path, lines):
+        return write_hostile(tmp_path, ("temp,color,label\n" + "".join(lines)).encode())
+
+    def test_bad_row_in_a_later_block_is_named(self, tmp_path, capsys):
+        lines = ["12.5,dark blue,no\n"] * 9_000
+        lines[7_000] = "12.5,green,no\n"
+        db, dbd = self.write_rows(tmp_path, lines)
+        message = "row 7001: unknown label 'green' in column 'color'"
+        assert assert_reads_as_cells(db, dbd) == message
+        assert main(["preprocess", "--db", str(db), "--dbd", str(dbd)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_quoted_field_across_a_block_boundary(self, tmp_path):
+        from goalrules.preprocess import _BLOCK_CHARS
+
+        line = "12.5,dark blue,no\n"
+        opening = 1 + _BLOCK_CHARS // len(line)  # the last line of the first block
+        lines = [line] * 5_000
+        lines[opening - 1 : opening] = ['5.0000000000,"a,b\n', 'c",yes\n']  # as long as `line`
+        db, dbd = self.write_rows(tmp_path, lines)
+        with open(db, newline="") as handle:
+            handle.readline()
+            assert handle.readlines(_BLOCK_CHARS)[-1] == '5.0000000000,"a,b\n'
+        (no, yes), skipped = assert_reads_as_cells(db, dbd)
+        assert yes == (1 << 0 | 1 << 6,) and no == (1 << 1 | 1 << 4,) * 4_999
+        assert skipped == 0
+
+    @pytest.mark.parametrize("first", ["12.5,red,no\n", "12.5,green,no\n"])
+    def test_syntax_error_after_the_first_block_names_its_line(self, tmp_path, capsys, first):
+        lines = ["12.5,red,no\n"] * 9_000
+        lines[10] = first
+        lines[6_000] = "x" * 131_073 + ",red,no\n"
+        db, dbd = self.write_rows(tmp_path, lines)
+        message = "line 6002: field larger than field limit (131072)"
+        if "green" in first:
+            message = "row 11: unknown label 'green' in column 'color'"
+        assert assert_reads_as_cells(db, dbd) == message
+        assert main(["preprocess", "--db", str(db), "--dbd", str(dbd)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("long_row", [20, 255, 256, 300])
+    def test_chunk_is_read_whole_across_blocks(self, tmp_path, monkeypatch, long_row):
+        # a bad row in block one and a syntax error in a later block: the
+        # syntax error is named when it falls in the bad row's 256-row
+        # chunk, since the chunk is read whole before it is encoded
+        monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_BLOCK_CHARS", 64)
+        lines = ["12.5,red,no\n"] * 400
+        lines[2] = "12.5,green,no\n"
+        lines[long_row - 1] = "x" * 131_073 + ",red,no\n"
+        db, dbd = self.write_rows(tmp_path, lines)
+        expected = "row 3: unknown label 'green' in column 'color'"
+        if long_row <= 256:
+            expected = f"line {long_row + 1}: field larger than field limit (131072)"
+        assert assert_reads_as_cells(db, dbd) == expected
+
+    @given(
+        text=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+            st.from_regex(r"[-+]?([0-9]{1,30}\.?[0-9]{0,30}|\.[0-9]{1,30})([eE][-+]?[0-9]{1,3})?", fullmatch=True),
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_numpy_reads_a_plain_number_as_float_does(self, text):
+        np = pytest.importorskip("numpy", exc_type=ImportError)
+        parsed = np.loadtxt([text + "\n"], dtype="f8", delimiter=",", comments=None, ndmin=1)
+        assert parsed.tobytes() == np.array([float(text)]).tobytes()
+
+    @pytest.mark.parametrize("blank", ["\n", "\r\n"])
+    def test_blank_lines_alone_are_no_records(self, tmp_path, capsys, blank):
+        db, dbd = self.write_rows(tmp_path, [blank] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert assert_reads_as_cells(db, dbd) == "no records"
+            assert main(["preprocess", "--db", str(db), "--dbd", str(dbd)]) == 3
+        assert capsys.readouterr().err == "error: no records\n"
+
+    def test_whitespace_table_is_complete(self):
+        from goalrules.preprocess import _SPACES
+
+        assert set(_SPACES) | {"\n", "\r"} == {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+        assert _SPACES[:8].isascii() and not _SPACES[8:].isascii()
 
 
 class TestBitmaps:
