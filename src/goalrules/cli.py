@@ -178,7 +178,10 @@ def write_mining_json(
     does, which is ``json``'s spelling for every finite float (weights with
     a finite sum keep every quality finite). The criteria are a function of
     the rule's goal and counts, so their text is made once per distinct
-    ``(goal, sup_k, sup)`` and reused.
+    ``(goal, sup_k, sup)`` in a group and reused. A premise's names are its
+    prefix's (the premise without its top bit), which the search emits
+    earlier in the same goal, plus one more; ``_premise_names`` spells a
+    premise whose prefix was not emitted, as in a hand-built ``RuleSet``.
     """
 
     def nested(value) -> str:
@@ -192,34 +195,46 @@ def write_mining_json(
         f'\n  "catalog": {nested(catalog_to_list(pdb.catalog))},'
         f'\n  "rules": ['
     )
-    counted: dict[tuple[int, int, int], str] = {}  # text from "goal" to "q"
     separator, closing = "\n", "]"
-    for rule in ruleset.all_positive() + ruleset.all_negative():
-        key = (rule.goal, rule.sup_k, rule.sup)
-        if key not in counted:
-            m = rule.metrics
-            counted[key] = (
-                f'\n      "goal": {goals[rule.goal]},'
-                f'\n      "sup_k": {rule.sup_k},'
-                f'\n      "sup": {rule.sup},'
-                f'\n      "f_g": {m.f_g!r},'
-                f'\n      "f_all": {m.f_all!r},'
-                f'\n      "conf": {m.confidence!r},'
-                f'\n      "lift": {m.lift!r},'
-                f'\n      "corr": {m.correlation!r},'
-                f'\n      "q": {m.quality!r},'
+    # A group is one goal's rules of one kind, and the two kinds have no
+    # correlation in common, so no criteria text serves two groups.
+    for group in ruleset.positive + ruleset.negative:
+        counted: dict[tuple[int, int, int], str] = {}  # text from "goal" to "q"
+        listed = {0: ""}  # premise -> its names, joined
+        for rule in group:
+            key = (rule.goal, rule.sup_k, rule.sup)
+            if key not in counted:
+                m = rule.metrics
+                counted[key] = (
+                    f'\n      "goal": {goals[rule.goal]},'
+                    f'\n      "sup_k": {rule.sup_k},'
+                    f'\n      "sup": {rule.sup},'
+                    f'\n      "f_g": {m.f_g!r},'
+                    f'\n      "f_all": {m.f_all!r},'
+                    f'\n      "conf": {m.confidence!r},'
+                    f'\n      "lift": {m.lift!r},'
+                    f'\n      "corr": {m.correlation!r},'
+                    f'\n      "q": {m.quality!r},'
+                )
+            code = rule.premise
+            top = code.bit_length() - 1
+            prefix = listed.get(code ^ (1 << top)) if code else None
+            if prefix is None:
+                premise = ",\n        ".join(_premise_names(code, names))
+            else:
+                premise = f"{prefix},\n        {names[top]}" if prefix else names[top]
+            if not rule.final and rule.premise_len != config.max_premise_len:
+                listed[code] = premise  # only a premise the search grows is a prefix
+            premise = f"[\n        {premise}\n      ]" if premise else "[]"
+            out.write(
+                f"{separator}    {{"
+                f'\n      "premise": {premise},'
+                f"{counted[key]}"
+                f'\n      "final": {"true" if rule.final else "false"},'
+                f'\n      "negative": {"true" if rule.negative else "false"}'
+                f"\n    }}"
             )
-        premise = ",\n        ".join(_premise_names(rule.premise, names))
-        premise = f"[\n        {premise}\n      ]" if premise else "[]"
-        out.write(
-            f"{separator}    {{"
-            f'\n      "premise": {premise},'
-            f"{counted[key]}"
-            f'\n      "final": {"true" if rule.final else "false"},'
-            f'\n      "negative": {"true" if rule.negative else "false"}'
-            f"\n    }}"
-        )
-        separator, closing = ",\n", "\n  ]"
+            separator, closing = ",\n", "\n  ]"
     out.write(f'{closing},\n  "report": {nested(asdict(report))}\n}}\n')
 
 
@@ -413,6 +428,8 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    for stream in (sys.stdout, sys.stderr):  # input is read as UTF-8 in any locale; so is output
+        stream.reconfigure(encoding="utf-8", errors=stream.errors)
     try:
         status = main()
         sys.stdout.flush()

@@ -5,7 +5,9 @@ and its negative rules. Each goal's rules then grow depth-first from its
 candidates: a premise only ever grows by a candidate whose bit sits above
 its top bit, so every premise set is generated exactly once, and each
 extension ANDs one more property bitmap onto the bitmaps of its parent's
-premise (the path bitmaps) instead of recounting the whole premise.
+premise (the path bitmaps) instead of recounting the whole premise. The
+walk counts on the table's multiset root (``_Root``): a table written k
+times is walked once, with every count scaled back up by k.
 
 Every decision compares two integer products of a rule's counts with
 constants fixed per goal (``_Bounds``); floats are made only for output.
@@ -13,8 +15,11 @@ constants fixed per goal (``_Bounds``); floats are made only for output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain, repeat
+from math import gcd
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
@@ -137,18 +142,24 @@ class _Bounds(NamedTuple):
         return sup_k * self.stop_a >= sup * self.stop_b or sup_k < self.min_sup_k
 
 
-def _single_rules(pdb, config: MiningConfig) -> tuple[list[list[Rule]], list[list[Rule]]]:
+def _property_counts(pdb) -> list[list[int]]:
+    """Each property's record count per goal: the popcount of its bitmap."""
+    return [[bits.bit_count() for bits in maps] for maps in pdb.bitmaps]
+
+
+def _single_rules(
+    pdb, config: MiningConfig, counts: list[list[int]]
+) -> tuple[list[list[Rule]], list[list[Rule]]]:
     """One pass over the single-property supports, per goal: the candidates
     (correlation above ``min_corr``, final flag set) and the negative rules
     (correlation at or below ``neg_corr``).
 
-    A property's count in goal k is the popcount of its bitmap there.
+    ``counts`` holds each goal's property counts (``_property_counts``).
     Goals with an empty partition — or holding every record — get neither;
     correlation carries no signal there. A candidate is final when it
     ``stops`` or no candidate bit sits above its own.
     """
     total = pdb.total
-    counts = [[bits.bit_count() for bits in maps] for maps in pdb.bitmaps]
     sups = [sum(column) for column in zip(*counts)]
     candidates: list[list[Rule]] = []
     negative: list[list[Rule]] = []
@@ -179,23 +190,69 @@ def _single_rules(pdb, config: MiningConfig) -> tuple[list[list[Rule]], list[lis
 def create_candidates(pdb, config: MiningConfig) -> list[list[Rule]]:
     """Single-property rules whose correlation exceeds ``min_corr``, per goal,
     in ascending code order."""
-    return _single_rules(pdb, config)[0]
+    return _single_rules(pdb, config, _property_counts(pdb))[0]
 
 
-def _grow(group: Sequence[Rule], pdb, config: MiningConfig) -> list[Rule]:
+class _Root(NamedTuple):
+    """The table's multiset root, the smallest table the search can count
+    on. ``g`` is the largest integer dividing every code's multiplicity in
+    every goal; goal k's root holds each of its codes multiplicity/g times,
+    so a premise's count in goal k is exactly ``g`` times its count over
+    ``bitmaps[k]``, the root's property bitmaps (``sizes`` are the root's
+    partition sizes). On a table with g = 1 the root is the table itself.
+    """
+
+    g: int
+    bitmaps: tuple[tuple[int, ...], ...]
+    sizes: tuple[int, ...]
+
+    @classmethod
+    def of(cls, pdb, counts: list[list[int]]) -> "_Root":
+        """The root of ``pdb``, whose property counts are ``counts``. g
+        divides every partition size and every property count, so their gcd
+        bounds it for free; the codes are tallied only when that gcd exceeds
+        1, never on a table of distinct rows."""
+        g = gcd(*pdb.partition_sizes, *chain.from_iterable(counts))
+        if g > 1:
+            tallies = [Counter(part) for part in pdb.partitions]
+            g = gcd(g, *chain.from_iterable(tally.values() for tally in tallies))
+        if g <= 1:
+            return cls(1, pdb.bitmaps, pdb.partition_sizes)
+        parts = tuple(
+            tuple(chain.from_iterable(repeat(code, n // g) for code, n in tally.items()))
+            for tally in tallies
+        )
+        root = replace(pdb, partitions=parts)
+        return cls(g, root.bitmaps, root.partition_sizes)
+
+    def pair(self, goal: int, i: int) -> tuple[int, int]:
+        """Property i's root bitmap inside ``goal``, and over the other
+        goals' root records, concatenated in goal order."""
+        outside, shift = 0, 0
+        for k, (maps, size) in enumerate(zip(self.bitmaps, self.sizes)):
+            if k != goal:
+                outside |= maps[i] << shift
+                shift += size
+        return self.bitmaps[goal][i], outside
+
+
+def _grow(group: Sequence[Rule], root: _Root, config: MiningConfig) -> list[Rule]:
     """Every rule of one goal reachable from its candidates ``group``, sorted
     by premise length, then premise code.
 
     A depth-first walk on an explicit stack. Each entry holds a rule, the
-    per-goal AND of its premise's bitmaps (the path bitmaps) and the index
-    of the next candidate to try; premises grow only by candidates above
-    their top bit, so every premise set is reached once. An extension ANDs
-    the candidate's bitmap onto the path bitmaps and takes one
-    ``bit_count`` per goal. It is dropped when it has no support in the
-    goal or its correlation is below ``min_corr``, and walked further
-    unless final or at ``max_premise_len``; both tests are the goal's
-    integer ``_Bounds``, and no float is made. Above the seeded candidates,
-    whose path bitmaps are their own, the stack holds only the current path.
+    AND of its premise's root bitmaps inside the goal and outside it (the
+    path bitmaps, from ``root.pair``) and the index of the next candidate
+    to try; premises grow only by candidates above their top bit, so every
+    premise set is reached once. An extension ANDs the candidate's inside
+    bitmap onto the inside path and counts it, times ``root.g``, as
+    ``sup_k``; only when that is not 0 does it AND and count the outside
+    pair, which gives ``sup - sup_k``. It is dropped when it has no support
+    in the goal or its correlation is below ``min_corr``, and walked
+    further unless final or at ``max_premise_len``; both tests are the
+    goal's integer ``_Bounds`` on the full table's counts, and no float is
+    made. Above the seeded candidates, whose path bitmaps are their own,
+    the stack holds only the current path.
     """
     if not group:
         return []
@@ -204,25 +261,30 @@ def _grow(group: Sequence[Rule], pdb, config: MiningConfig) -> list[Rule]:
     corr_a, corr_b, stops = bounds.corr_a, bounds.corr_b, bounds.stops
     top = group[-1].premise
     limit = config.max_premise_len or len(group)
-    columns = [[maps[c.premise.bit_length() - 1] for maps in pdb.bitmaps] for c in group]
+    g = root.g
+    columns = [root.pair(goal, c.premise.bit_length() - 1) for c in group]
     rules = list(group)
-    stack = [(c, columns[i], i + 1) for i, c in enumerate(group) if not c.final and limit > 1]
+    stack = [(c, *columns[i], i + 1) for i, c in enumerate(group) if not c.final and limit > 1]
     while stack:
-        rule, paths, j = stack.pop()
+        rule, inside, outside, j = stack.pop()
         if j == len(group):
             continue
-        stack.append((rule, paths, j + 1))  # its next candidate, after this subtree
-        grown = [path & bits for path, bits in zip(paths, columns[j])]
-        counts = [path.bit_count() for path in grown]
-        sup, sup_k = sum(counts), counts[goal]
-        if sup_k == 0 or sup_k * corr_a < sup * corr_b:  # corr < min_corr
+        stack.append((rule, inside, outside, j + 1))  # its next candidate, after this subtree
+        bits_in, bits_out = columns[j]
+        grown_in = inside & bits_in
+        sup_k = grown_in.bit_count() * g
+        if sup_k == 0:
+            continue
+        grown_out = outside & bits_out
+        sup = sup_k + grown_out.bit_count() * g
+        if sup_k * corr_a < sup * corr_b:  # corr < min_corr
             continue
         premise = rule.premise | group[j].premise
         final = top <= premise or stops(sup_k, sup)
         child = Rule(premise, rule.premise_len + 1, goal, sup_k, sup, basis, final)
         rules.append(child)
         if not final and child.premise_len < limit:
-            stack.append((child, grown, j + 1))
+            stack.append((child, grown_in, grown_out, j + 1))
     rules.sort(key=attrgetter("premise_len", "premise"))
     return rules
 
@@ -239,17 +301,19 @@ def mine(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> RuleSe
     One single-property pass (``_single_rules``) gives each goal its
     negative rules and its candidates. The candidates seed a depth-first
     walk (``_grow``) that extends a premise by one candidate bit above its
-    top bit at a time, ANDing that property's bitmap onto the premise's
-    path bitmaps. ``threads`` is accepted for compatibility and must be
-    >= 1; the search runs sequentially, so results are identical for any
-    value.
+    top bit at a time, ANDing that property's bitmaps onto the premise's
+    path bitmaps over the table's multiset root (``_Root``). ``threads`` is
+    accepted for compatibility and must be >= 1; the search runs
+    sequentially, so results are identical for any value.
     """
     check_threads(threads)
     if config is None:
         config = MiningConfig()
-    candidates, negative = _single_rules(pdb, config)
+    counts = _property_counts(pdb)
+    candidates, negative = _single_rules(pdb, config, counts)
+    root = _Root.of(pdb, counts)
     return RuleSet(
-        tuple(tuple(_grow(group, pdb, config)) for group in candidates),
+        tuple(tuple(_grow(group, root, config)) for group in candidates),
         tuple(map(tuple, negative)),
     )
 
@@ -262,4 +326,4 @@ def mine_negative(pdb, config: MiningConfig | None = None, *, threads: int = 1) 
     check_threads(threads)
     if config is None:
         config = MiningConfig()
-    return _single_rules(pdb, config)[1]
+    return _single_rules(pdb, config, _property_counts(pdb))[1]

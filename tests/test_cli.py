@@ -21,6 +21,8 @@ from goalrules import (
     PartitionedDatabase,
     Property,
     PropertyCatalog,
+    Rule,
+    RuleSet,
     load_database,
     mine,
     preprocess_csv,
@@ -28,7 +30,7 @@ from goalrules import (
 from goalrules import engine
 from goalrules.cli import RunReport, main, mining_output_json
 from goalrules.datasets import save_tables, synthetic_tables
-from goalrules.metrics import CriteriaWeights
+from goalrules.metrics import CriteriaWeights, support
 
 DESC = {
     "columns": [
@@ -402,6 +404,23 @@ class TestJsonEmitter:
         text = mining_output_json(ruleset, pdb, config, report)
         assert text == reference_json(ruleset, pdb, config, report)
 
+    def test_premise_whose_prefix_was_not_emitted(self, table):
+        """A hand-built rule set: a premise before its prefix, one after it,
+        and the empty premise spell their names as ``json.dumps`` does."""
+        db, dbd = table
+        pdb = preprocess_csv(db, dbd)
+        config = MiningConfig()
+        basis = (pdb.partition_sizes[1], pdb.total, config.weights)
+        rules = []
+        for premise in (0b1010, 0b0010, 0b1010, 0, 0b1001):
+            counts = support(premise, pdb)
+            rules.append(Rule(premise, premise.bit_count(), 1, counts[1], sum(counts), basis, final=False))
+        ruleset = RuleSet(((), tuple(rules)), ((), ()))
+        _, report = mine_run(pdb, config, negative=False)
+        text = mining_output_json(ruleset, pdb, config, report)
+        assert text == reference_json(ruleset, pdb, config, report)
+        assert json.loads(text)["rules"][4]["premise"] == ["X0", "F1"]
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32),
@@ -502,17 +521,27 @@ class TestOutputPin:
     rules, pinned by sha256: the JSON with its two timing lines removed, and
     the CSV. The digests were taken while the search still built float
     criteria for every premise, so they pin the integer decisions and the
-    emitter's per-count reuse of criteria text to the same bytes."""
+    emitter's per-count reuse of criteria text to the same bytes. The
+    replicated table (300 rows written 4 times, 992 positive and 37
+    negative rules) is mined on its multiset root; its digests were taken
+    while the search still counted on every record, and its ``--min-freq``
+    puts the frequency floor at 18, not a multiple of 4."""
 
     ARGS = [
         "mine", "--db", "s.csv", "--dbd", "s.dbd.json", "--negative",
         "--min-corr", "0.3", "--max-premise-len", "4",
+    ]
+    REPLICATED = [
+        "mine", "--db", "r.csv", "--dbd", "r.dbd.json", "--negative",
+        "--min-corr", "0.3", "--max-premise-len", "4", "--min-freq", "0.015",
     ]
 
     @pytest.fixture(autouse=True)
     def synthetic(self, tmp_path, monkeypatch):
         table, description = synthetic_tables(600, 10, categorical=1, seed=3)
         save_tables(table, description, tmp_path / "s.csv", tmp_path / "s.dbd.json")
+        table, description = synthetic_tables(300, 10, categorical=1, seed=4)
+        save_tables(table * 4, description, tmp_path / "r.csv", tmp_path / "r.dbd.json")
         monkeypatch.chdir(tmp_path)  # the JSON report names the table by this relative path
 
     def test_json(self, capsys):
@@ -526,6 +555,18 @@ class TestOutputPin:
         assert main(self.ARGS + ["--format", "csv"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "3ed801d1e33c76bd069df822764ddc9fd115389578dee7dee55a7d51cdfa2c87"
+
+    def test_replicated_json(self, capsys):
+        assert main(self.REPLICATED + ["--format", "json"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(json.loads(out)["rules"]) == 1029
+        digest = hashlib.sha256(b"\n".join(_without_timings(out))).hexdigest()
+        assert digest == "587410ad40d520c1b080e6f3962091a9169319e6e7bebe2da69ee61831994533"
+
+    def test_replicated_csv(self, capsys):
+        assert main(self.REPLICATED + ["--format", "csv"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "e1a1a589f4c5160148d49e508e2e6a42acf548dda1a93f893f775bac083621fd"
 
 
 # Run first in a child interpreter: every import of numpy or of a numpy
@@ -626,6 +667,41 @@ class TestUtf8Input:
         assert done.returncode == 0, done.stderr
         catalog = json.loads(done.stdout)["catalog"]
         assert [p["full_name"] for p in catalog if p["column"] == "f"] == ["f = a", "f = grün"]
+
+
+    @pytest.mark.parametrize(
+        "command, stream, expected",
+        [
+            (["preprocess"], "stderr", "f = grün"),  # the catalog; the dump goes to stdout
+            (["mine", "--format", "table"], "stdout", "F1 => größer"),
+            (["mine", "--format", "csv"], "stdout", "F1,größer,"),
+        ],
+        ids=["preprocess", "mine-table", "mine-csv"],
+    )
+    def test_output_is_utf8_under_the_c_locale(self, tmp_path, command, stream, expected):
+        """Output is written as UTF-8 whatever the locale, as input is read."""
+        import goalrules
+
+        doc = json.loads(json.dumps(DESC))
+        doc["columns"][1]["values"] = ["a", "grün"]
+        doc["columns"][2]["values"] = ["g0", "größer"]
+        db, dbd = tmp_path / "t.csv", tmp_path / "t.dbd.json"
+        lines = [",".join(row).replace(",b,", ",grün,").replace("g1", "größer") for row in ROWS]
+        db.write_text("x,f,outcome\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        dbd.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        env.update(
+            LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+            PYTHONPATH=str(Path(goalrules.__file__).parent.parent),
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "goalrules.cli", *command, "--db", str(db), "--dbd", str(dbd)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        out = getattr(done, stream)
+        assert expected.encode("utf-8") in out
+        assert b"\\x" not in out
 
 
 class TestPublicNames:

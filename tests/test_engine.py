@@ -1,14 +1,16 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goalrules import ConfigError, CriteriaWeights, MiningConfig, compute_metrics, mine
+from goalrules import ConfigError, CriteriaWeights, MiningConfig, compute_metrics, engine, mine
 from goalrules.engine import create_candidates, mine_negative
 from goalrules.metrics import support
 from goalrules.preprocess import replicate
 from conftest import assert_rulesets_equal, build_pdb, random_pdb
+from oracle import from_database, oracle_mine
 
 # Two properties that are individually informative for goal 0 but nearly
 # disjoint inside it: each single scores correlation 0.4, their pair lands
@@ -411,3 +413,93 @@ class TestExactTies:
         config = MiningConfig(neg_corr=-0.2)
         assert [r.premise for r in mine(pdb, config).negative[0]] == [1]
         assert [r.premise for r in mine_negative(pdb, config)[0]] == [1]
+
+
+class TestMultisetRoot:
+    """On a table whose code multiplicities share a factor g > 1 the search
+    counts on the root, each code taken multiplicity/g times, and scales by
+    g: the rules are the oracle's on the full table, and those of the
+    table's base with every count times k."""
+
+    @pytest.fixture(autouse=True, params=["numpy", "pure_scan"])
+    def scan(self, request):
+        if request.param == "pure_scan":
+            request.getfixturevalue("pure_scan")
+
+    @staticmethod
+    def root(pdb):
+        return engine._Root.of(pdb, engine._property_counts(pdb))
+
+    @staticmethod
+    def assert_oracle(pdb, config):
+        rules = mine(pdb, config)
+        assert_rulesets_equal(rules, oracle_mine(from_database(pdb), len(pdb.partitions), config))
+        return rules
+
+    @staticmethod
+    def assert_scaled(rules, base_rules, k):
+        for side in ("positive", "negative"):
+            for group, base_group in zip(getattr(rules, side), getattr(base_rules, side)):
+                assert [(r.premise, r.final, r.sup_k, r.sup) for r in group] == [
+                    (b.premise, b.final, b.sup_k * k, b.sup * k) for b in base_group
+                ]
+
+    SEEDS = [9, 19, 23, 24]  # random_pdb tables whose rules grow to 3 properties or more
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_replicated_table(self, seed):
+        base = random_pdb(random.Random(seed), max_part=30)
+        config = MiningConfig(min_corr=0.2, min_f_all=0.05)
+        pdb = replicate(base, 6)
+        assert self.root(pdb).g % 6 == 0
+        rules = self.assert_oracle(pdb, config)
+        self.assert_scaled(rules, mine(base, config), 6)
+        assert max(r.premise_len for r in rules.all_positive()) >= 3  # the walk must bite
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_extra_row_is_its_own_root(self, seed, monkeypatch):
+        """A replicated table plus one row has g = 1, and the gcd of its
+        counts rules out tallying codes at all."""
+        base = random_pdb(random.Random(seed), max_part=30)
+        pdb = replicate(base, 6)
+        parts = list(pdb.partitions)
+        parts[0] += (base.partitions[1] or (1,))[:1]
+        pdb = build_pdb(parts, len(base.catalog))
+
+        def no_tally(*args):
+            raise AssertionError("codes tallied on a table whose counts have gcd 1")
+
+        monkeypatch.setattr(engine, "Counter", no_tally)
+        assert self.root(pdb) == (1, pdb.bitmaps, pdb.partition_sizes)
+        self.assert_oracle(pdb, MiningConfig(min_corr=0.2, min_f_all=0.05))
+
+    def test_counts_sharing_a_factor_of_distinct_codes(self):
+        """Every size and property count is even, but each code of goal 0
+        appears once, so g is 1."""
+        pdb = build_pdb([[0b0101, 0b1010, 0b0110, 0b1001], [0b1111, 0b1111]], m=4)
+        counts = engine._property_counts(pdb)
+        assert math.gcd(*pdb.partition_sizes, *(n for goal in counts for n in goal)) == 2
+        assert self.root(pdb).g == 1
+        rules = self.assert_oracle(pdb, MiningConfig(min_corr=0.2))
+        pairs = [(r.premise, r.sup_k, r.sup) for r in rules.positive[1] if r.premise_len == 2]
+        assert pairs == [
+            (0b0011, 2, 2), (0b0101, 2, 3), (0b0110, 2, 3), (0b1001, 2, 3), (0b1010, 2, 3), (0b1100, 2, 2)
+        ]
+
+    def test_frequency_floor_between_multiples_of_g(self):
+        """``min_f_all`` puts ``ceil(f·total)`` one above a multiple of g, so
+        a rule whose full ``sup_k`` is that multiple is final: the floor is
+        compared with the scaled count, not with the root's."""
+        base = random_pdb(random.Random(24), max_part=30)
+        k = 4
+        pdb = replicate(base, k)
+        loose = mine(pdb, MiningConfig(min_corr=0.2, min_f_all=0.0))
+        rule = max((r for r in loose.all_positive() if not r.final), key=lambda r: r.sup_k)
+        f = (rule.sup_k + 0.5) / pdb.total
+        config = MiningConfig(min_corr=0.2, min_f_all=f)
+        assert engine._Bounds.of(1, pdb.total, config).min_sup_k == rule.sup_k + 1
+        assert self.root(pdb).g == k
+        rules = self.assert_oracle(pdb, config)
+        self.assert_scaled(rules, mine(base, config), k)
+        kept = {r.premise: r for r in rules.positive[rule.goal]}
+        assert kept[rule.premise].final
