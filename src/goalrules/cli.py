@@ -2,7 +2,8 @@
 and generate synthetic demo data.
 
 Exit codes: 0 success, 1 ``bench`` invariant broken, 2 usage or configuration
-error, 3 data error, 141 standard output closed early by its reader.
+error, or standard output closed before the run, 3 data error, 141 standard
+output closed early by its reader.
 """
 
 from __future__ import annotations
@@ -429,7 +430,12 @@ def main(argv=None) -> int:
 
 def run() -> None:
     for stream in (sys.stdout, sys.stderr):  # input is read as UTF-8 in any locale; so is output
-        stream.reconfigure(encoding="utf-8", errors=stream.errors)
+        if stream is not None:  # None where the stream was closed at start, as `>&-` does
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
+    if sys.stdout is None:
+        if sys.stderr is not None:
+            print("error: standard output is closed", file=sys.stderr)
+        sys.exit(2)
     try:
         status = main()
         sys.stdout.flush()

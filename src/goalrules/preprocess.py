@@ -6,10 +6,10 @@ unbounded int whose set bits are the properties the row satisfies.
 
 Rows are encoded by one of two paths, chosen by content. Cells that arrive
 one by one (mapping rows, or CSV lines that need ``csv.reader``) take the
-cell path: ``_encode_chunk`` on 256-row chunks, and ``_encode`` row by row
-for a chunk with a bad row. A block of plain CSV lines is parsed by numpy's
-C text reader in one call instead. The paths accept the same rows and give
-the same codes and the same error text.
+cell path: ``_encode``, row by row. A block of plain CSV lines is parsed by
+numpy's C text reader in one call and encoded a column at a time instead.
+The paths accept the same rows and give the same codes and the same error
+text.
 """
 
 from __future__ import annotations
@@ -34,11 +34,9 @@ except ImportError:  # pragma: no cover - numpy is an optional accelerator
 _LIMB_BITS = 64
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 
-# Rows encoded per numpy step. A chunk's cells are visited once per column,
-# which likely favours chunks that stay in cache: on a 442,000-row table,
-# 256- and 512-row chunks were fastest (2.0-2.6 s, against 2.5-3.1 s at 1,024
-# rows and 2.9-3.5 s at 8,192, on a shared 2-vCPU host). A small chunk also
-# bounds the rows one bad cell sends through the row-by-row encoder.
+# Rows of the cell path read before any of them is encoded, on a fixed grid
+# of row numbers. The grid fixes which error is reported first, a bad row or
+# a CSV syntax error later in its chunk, however the rows are delivered.
 _CHUNK_ROWS = 256
 
 # Characters of CSV text read per block, which numpy.loadtxt parses in one
@@ -354,68 +352,6 @@ def _row_cells(row: Mapping[str, str], names: Sequence[str]) -> list:
     return [*map(row.get, names), *row.get(None, ())]
 
 
-def _chunk_tables(columns: Sequence[tuple], m: int) -> list[tuple]:
-    """What ``_encode_columns`` needs per column: the bin boundaries as an
-    array, the label dict, and the category -> code lookup table (``None``
-    for the target), in uint64 up to 64 properties and Python ints above."""
-    dtype = _np.uint64 if m <= _LIMB_BITS else object
-    return [
-        (
-            None if bounds is None else _np.array(bounds, dtype=float),
-            labels,
-            None if codes is None else _np.array(codes, dtype=dtype),
-        )
-        for _, bounds, labels, codes in columns
-    ]
-
-
-def _encode_columns(values: Sequence, tables: Sequence[tuple], goal_count: int):
-    """Encode a chunk one column at a time, from its columns in description
-    order: float arrays for the continuous ones, label sequences for the
-    others. Returns each goal's codes in row order, or ``None`` when a
-    number is non-finite or a label unknown."""
-    code = 0  # an array from the first input column on
-    goals = None
-    for column, (bounds, labels, lookup) in zip(values, tables, strict=True):
-        if bounds is not None:
-            if not _np.isfinite(column).all():
-                return None
-            # side="right" is bisect_right: a boundary value goes to the bin above
-            category = _np.searchsorted(bounds, column, side="right")
-        else:
-            try:
-                category = _np.fromiter(map(labels.get, column), dtype=_np.intp, count=len(column))
-            except TypeError:  # a None cell or label
-                return None
-        if lookup is None:
-            goals = category
-        else:
-            code |= lookup[category]
-    return [code[goals == k].tolist() for k in range(goal_count)]
-
-
-def _numbers(cells: Sequence[str]):
-    """A continuous column's cells as a float array, if every one is plain."""
-    if not _plain("".join(cells)):
-        raise ValueError(cells)
-    return _np.fromiter(map(float, cells), dtype=float, count=len(cells))
-
-
-def _encode_chunk(chunk: Sequence[Sequence], tables: Sequence[tuple], goal_count: int):
-    """``_encode_columns`` on rows of cells, or ``None`` when any row would
-    make ``_encode`` raise or skip it: a row not exactly header-wide, or a
-    cell that is missing, ``""``, not a plain number, unparsable,
-    non-finite, or an unknown label."""
-    try:
-        values = [
-            cells if bounds is None else _numbers(cells)
-            for cells, (bounds, _, _) in zip(zip(*chunk, strict=True), tables, strict=True)
-        ]
-    except (TypeError, ValueError):  # a None cell, a bad float, a row of another width
-        return None
-    return _encode_columns(values, tables, goal_count)
-
-
 @dataclass(frozen=True)
 class PartitionedDatabase:
     """Encoded records grouped by goal class, plus the property catalog.
@@ -525,19 +461,29 @@ def _plain_block(lines: Sequence[str]) -> bool:
 
 class _Encoder:
     """The goal partitions of the rows encoded so far, in input order. Rows
-    are numbered from 1 as they arrive, and cells are encoded in chunks on a
-    fixed grid of ``_CHUNK_ROWS`` rows, so that which bad row or CSV syntax
-    error is reported first does not depend on how rows are delivered."""
+    are numbered from 1 as they arrive. Cells are read in chunks on a fixed
+    grid of ``_CHUNK_ROWS`` rows, so that which bad row or CSV syntax error
+    is reported first does not depend on how rows are delivered."""
 
     def __init__(self, descriptors: Sequence[ColumnDescriptor], skip_missing: bool) -> None:
         target = validate_descriptors(descriptors)
         self.goal_labels = tuple(str(v) for v in target.values)
         self.catalog = build_catalog(descriptors)
         self.columns = _compile(descriptors, self.catalog)
-        self.tables = None
-        self.dtype = None
+        self.tables = self.dtype = None
         if _np is not None:
-            self.tables = _chunk_tables(self.columns, len(self.catalog))
+            # per column, for add_block: the bin boundaries as an array, the
+            # label dict, and the category -> code lookup table (None for the
+            # target), in uint64 up to 64 properties and Python ints above
+            codes_dtype = _np.uint64 if len(self.catalog) <= _LIMB_BITS else object
+            self.tables = [
+                (
+                    None if bounds is None else _np.array(bounds, dtype=float),
+                    labels,
+                    None if codes is None else _np.array(codes, dtype=codes_dtype),
+                )
+                for _, bounds, labels, codes in self.columns
+            ]
             # one character over the longest label: a longer cell that numpy
             # cuts short can never equal a label
             self.dtype = _np.dtype([
@@ -555,47 +501,50 @@ class _Encoder:
         return _CHUNK_ROWS - self.rows % _CHUNK_ROWS
 
     def add_chunk(self, chunk: Sequence[Sequence]) -> None:
-        """Encode rows of cells that stay within one chunk of the grid,
-        column by column when numpy is present and every row is good, and
-        otherwise row by row, naming the first bad row."""
-        parts = None
-        if self.tables is not None:
-            parts = _encode_chunk(chunk, self.tables, len(self.buckets))
-        if parts is not None:
-            for bucket, part in zip(self.buckets, parts):
-                bucket.extend(part)
-        else:
-            for row_number, cells in enumerate(chunk, start=self.rows + 1):
-                try:
-                    code, goal = _encode(cells, self.columns)
-                except DataError as exc:
-                    if self.skip_missing and isinstance(exc, MissingValueError):
-                        self.skipped += 1
-                        continue
-                    raise DataError(f"row {row_number}: {exc}") from exc
-                self.buckets[goal].append(code)
+        """Encode rows of cells that stay within one chunk of the grid, row
+        by row, naming the first bad row."""
+        for row_number, cells in enumerate(chunk, start=self.rows + 1):
+            try:
+                code, goal = _encode(cells, self.columns)
+            except DataError as exc:
+                if self.skip_missing and isinstance(exc, MissingValueError):
+                    self.skipped += 1
+                    continue
+                raise DataError(f"row {row_number}: {exc}") from exc
+            self.buckets[goal].append(code)
         self.rows += len(chunk)
 
     def add_block(self, lines: Sequence[str]) -> bool:
         """Parse plain CSV lines (see ``_plain_block``) with numpy's text
-        reader in one call and encode them whole; numpy skips blank lines,
-        as ``csv.reader`` does. Adds nothing and returns ``False`` where a
-        line does not parse, or a number is non-finite or a label unknown
-        (``""`` is never a label): then only the cell path can name the bad
-        row."""
+        reader in one call and encode them a column at a time; numpy skips
+        blank lines, as ``csv.reader`` does. Adds nothing and returns
+        ``False`` where a line does not parse, or a number is non-finite or
+        a label unknown (``""`` is never a label): then only the cell path
+        can name the bad row."""
         try:
             table = _np.loadtxt(lines, dtype=self.dtype, delimiter=",", comments=None, ndmin=1)
         except ValueError:  # a row of another width, an empty or bad number
             return False
-        values = [
-            table[name] if bounds is not None else table[name].tolist()
-            for name, (bounds, _, _) in zip(self.dtype.names, self.tables)
-        ]
-        parts = _encode_columns(values, self.tables, len(self.buckets))
-        if parts is None:
-            return False
-        for bucket, part in zip(self.buckets, parts):
-            bucket.extend(part)
+        code = 0  # an array from the first input column on
+        goals = None
+        for name, (bounds, labels, lookup) in zip(self.dtype.names, self.tables):
+            column = table[name]
+            if bounds is not None:
+                if not _np.isfinite(column).all():
+                    return False
+                # side="right" is bisect_right: a boundary value goes to the bin above
+                category = _np.searchsorted(bounds, column, side="right")
+            else:
+                try:
+                    category = _np.fromiter(map(labels.get, column.tolist()), _np.intp, len(column))
+                except TypeError:  # an unknown label
+                    return False
+            if lookup is None:
+                goals = category
+            else:
+                code |= lookup[category]
+        for k, bucket in enumerate(self.buckets):
+            bucket.extend(code[goals == k].tolist())
         self.rows += len(table)
         return True
 
@@ -621,12 +570,11 @@ def preprocess(
     out as ``csv.DictReader`` yields them: extra cells under the key
     ``None`` make a row an error, also under ``skip_missing``.
 
-    Rows are encoded in chunks of 256: when numpy is present, a chunk's
-    continuous columns are parsed with ``float()`` and binned with
-    ``searchsorted``, its other columns looked up in the label dicts, and the
-    codes OR'd column by column. A chunk holding a bad row (a missing or bad
-    cell, or another width) is encoded again row by row, as is every chunk
-    without numpy, so results and error messages do not depend on chunking.
+    Rows are encoded one by one with ``_encode``. They are read in chunks
+    of 256 before any of them is encoded, as ``preprocess_csv`` reads its
+    cell path, so an error raised while ``rows`` is read (such as a CSV
+    syntax error from ``read_table``) wins over a bad row earlier in its
+    chunk, whichever function reads the table.
 
     Rows with missing cells are a hard error naming the row and column
     unless ``skip_missing`` is set, in which case they are dropped and
@@ -717,9 +665,10 @@ def preprocess_csv(db_path, dbd_path, *, skip_missing: bool = False) -> Partitio
     ``searchsorted`` and its labels looked up whole. Every other block, one
     that numpy refuses, and one with a non-finite number or an unknown label
     goes to the cell path: ``csv.reader`` reads its rows, and those after it
-    up to the end of a 256-row chunk, and they are encoded as ``preprocess``
-    encodes them. So the accept set, the row named by an error and its text,
-    and the ``skipped_rows`` count are the same whichever path a row takes.
+    up to the end of a 256-row chunk, and ``_encode`` encodes them row by
+    row, as ``preprocess`` does. So the accept set, the row named by an
+    error and its text, and the ``skipped_rows`` count are the same
+    whichever path a row takes.
     Blank lines are dropped. A CSV syntax error, such as a field over
     ``csv.field_size_limit()``, is named by line as it is read, even when an
     earlier row of its 256-row chunk is also bad.

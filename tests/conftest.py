@@ -70,7 +70,8 @@ def brute_support(premise: int, pdb) -> tuple[int, ...]:
 @pytest.fixture
 def pure_scan(monkeypatch):
     """Run as if numpy were absent, even when it is installed: the pure-Python
-    bitmap builder, and row-by-row encoding of every preprocessing chunk."""
+    bitmap builder, and the cell path (``csv.reader`` and row-by-row
+    encoding) for every block of a CSV table."""
     import sys
 
     monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_np", None)

@@ -757,3 +757,21 @@ class TestClosedStdout:
         _, err = child.communicate(timeout=120)
         assert child.returncode == 141
         assert b"Traceback" not in err and b"Exception ignored" not in err
+
+    @pytest.mark.parametrize("db_exists", [True, False], ids=["table", "missing-table"])
+    def test_stdout_closed_at_start_is_one_error_line(self, table, tmp_path, db_exists):
+        """``goalrules mine ... >&-``: status 2 and one line on stderr, before
+        any input is read, so a missing table is not reported."""
+        import goalrules
+
+        db, dbd = table
+        if not db_exists:
+            db = str(tmp_path / "absent.csv")
+        env = dict(os.environ, PYTHONPATH=str(Path(goalrules.__file__).parent.parent))
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m goalrules.cli "$@" >&-', sys.executable,
+             "mine", "--format", "json", "--db", db, "--dbd", dbd],
+            env=env, stderr=subprocess.PIPE, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr == b"error: standard output is closed\n"

@@ -28,6 +28,7 @@ from goalrules import (
 from goalrules.metrics import support
 from goalrules.preprocess import database_from_dict, database_to_dict, replicate
 from goalrules.cli import _premise_names, main
+from goalrules.datasets import synthetic_tables
 
 from conftest import generic_catalog
 
@@ -909,6 +910,26 @@ def write_hostile(directory, data):
     return db, dbd
 
 
+def write_synthetic(directory, empty_rows=(), quoted=False):
+    """A 3,000-row ``synthetic_tables`` table, over five 64k-character
+    blocks, whose rows at ``empty_rows`` hold only empty cells. Plain, it is
+    written as ``perfbench/generate.py`` writes it; quoted, as R's
+    ``write.csv`` writes text, with the header and every cell in quotes."""
+    table, description = synthetic_tables(3_000, 10, categorical=1, seed=4)
+    names = [c["name"] for c in description["columns"]]
+    lines = [names, *([row[n] for n in names] for row in table)]
+    for at in empty_rows:
+        lines[at + 1] = [""] * len(names)
+    db, dbd = directory / ("quoted.csv" if quoted else "plain.csv"), directory / "t.dbd.json"
+    with open(db, "w", newline="") as handle:
+        if quoted:
+            csv.writer(handle, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(lines)
+        else:
+            handle.writelines(",".join(cells) + "\n" for cells in lines)
+    dbd.write_text(json.dumps(description))
+    return db, dbd
+
+
 class TestBlockReader:
     """``preprocess_csv`` reads plain blocks with numpy and the rest with
     ``csv.reader``; either way a table reads as ``preprocess(read_table())``
@@ -1006,6 +1027,45 @@ class TestBlockReader:
             expected = f"line {long_row + 1}: field larger than field limit (131072)"
         assert assert_reads_as_cells(db, dbd) == expected
 
+    def test_plain_table_never_leaves_the_block_path(self, tmp_path, monkeypatch):
+        from goalrules.preprocess import _BLOCK_CHARS, _Encoder
+
+        pytest.importorskip("numpy", exc_type=ImportError)
+        db, dbd = write_synthetic(tmp_path)
+        assert db.stat().st_size > 3 * _BLOCK_CHARS
+        descriptors = parse_description(dbd.read_text())
+        expected = preprocess(read_table(db, descriptors), descriptors)
+
+        def add_chunk(self, chunk):
+            raise AssertionError(f"{len(chunk)} rows of a plain table took the cell path")
+
+        monkeypatch.setattr(_Encoder, "add_chunk", add_chunk)
+        assert preprocess_csv(db, dbd).partitions == expected.partitions
+
+    @pytest.mark.parametrize("numpy_absent", [False, True], ids=["numpy", "pure_scan"])
+    def test_quoted_table_reads_as_its_plain_form(self, request, tmp_path, capsys, numpy_absent):
+        if numpy_absent:
+            request.getfixturevalue("pure_scan")
+        empty_rows = (0, 700, 1_501, 2_999)
+        plain, dbd = write_synthetic(tmp_path, empty_rows)
+        quoted, _ = write_synthetic(tmp_path, empty_rows, quoted=True)
+        assert quoted.read_text().count('"') == 2 * 12 * 3_001
+        outcomes, outputs = [], []
+        for db in (plain, quoted):
+            pdb = preprocess_csv(db, dbd, skip_missing=True)
+            outcomes.append((pdb.partitions, pdb.skipped_rows))
+            argv = ["mine", "--negative", "--format", "json", "--skip-missing", "--min-corr", "0.2",
+                    "--max-premise-len", "3", "--db", str(db), "--dbd", str(dbd)]
+            assert main(argv) == 0
+            out = capsys.readouterr().out.replace(str(db), "DB")
+            timings = ('"preprocess_seconds"', '"mine_seconds"')
+            outputs.append([line for line in out.splitlines() if not line.lstrip().startswith(timings)])
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[0][1] == len(empty_rows)
+        assert outputs[1] == outputs[0]
+        rules = json.loads("\n".join(outputs[0]))["rules"]
+        assert any(r["negative"] for r in rules) and any(len(r["premise"]) > 1 for r in rules)
+
     @given(
         text=st.one_of(
             st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -1068,11 +1128,13 @@ class TestBitmaps:
 
 @pytest.mark.usefixtures("pure_scan")
 class TestPreprocessRowByRow(TestPreprocess):
-    """``TestPreprocess`` without numpy, where every chunk is encoded row by row."""
+    """``TestPreprocess`` without numpy, which changes only the bitmap builder:
+    mapping rows are always encoded row by row."""
 
     test_encode_decode_roundtrip = None  # encode_row alone, which has no numpy path
 
 
 @pytest.mark.usefixtures("pure_scan")
 class TestCsvRowByRow(TestCsv):
-    """``TestCsv`` without numpy, where every chunk is encoded row by row."""
+    """``TestCsv`` without numpy, where every block takes the cell path and is
+    encoded row by row."""
