@@ -3,7 +3,8 @@ and generate synthetic demo data.
 
 Exit codes: 0 success, 1 ``bench`` invariant broken, 2 usage or configuration
 error, or standard output closed before the run, 3 data error, 141 standard
-output closed early by its reader.
+output closed early by its reader. With standard error closed, an error's
+line is dropped and its status kept.
 """
 
 from __future__ import annotations
@@ -415,16 +416,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message: str) -> None:
+    """Print one error line to stderr. Where stderr cannot be written, as
+    after ``2>&-``, the line is dropped, so that the exit status alone still
+    tells the error's kind."""
+    if sys.stderr is None:
+        return
+    try:
+        print(f"error: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        sys.stderr = None  # nor flushed again at exit
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
     except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 3
 
 
@@ -433,8 +446,7 @@ def run() -> None:
         if stream is not None:  # None where the stream was closed at start, as `>&-` does
             stream.reconfigure(encoding="utf-8", errors=stream.errors)
     if sys.stdout is None:
-        if sys.stderr is not None:
-            print("error: standard output is closed", file=sys.stderr)
+        _error("standard output is closed")
         sys.exit(2)
     try:
         status = main()

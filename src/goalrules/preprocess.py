@@ -1,8 +1,11 @@
 """Table preprocessing: description parsing, binarization of input columns,
 bit-code encoding of rows, and grouping of records by goal class.
 
-Each binary property occupies one bit position; a row becomes a single
-unbounded int whose set bits are the properties the row satisfies.
+Each binary property occupies one bit position; a row becomes a code whose
+set bits are the properties the row satisfies. Over m properties a code is
+stored as ``L = max(1, ceil(m / 64))`` unsigned 64-bit limbs, least
+significant first, and each goal's codes lie back to back in one
+``array('Q')``, wrapped as ``Records``: 8 * L bytes per record, at any width.
 
 Rows are encoded by one of two paths, chosen by content. Cells that arrive
 one by one (mapping rows, or CSV lines that need ``csv.reader``) take the
@@ -16,12 +19,14 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice, zip_longest
 from math import isfinite
+from operator import eq
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, MissingValueError
@@ -352,15 +357,104 @@ def _row_cells(row: Mapping[str, str], names: Sequence[str]) -> list:
     return [*map(row.get, names), *row.get(None, ())]
 
 
+def _width(m: int) -> int:
+    """Limbs per code over m properties."""
+    return max(1, -(-m // _LIMB_BITS))
+
+
+def _limbs(code: int, width: int) -> list[int]:
+    """A non-negative code as ``width`` 64-bit limbs, least significant
+    first; a code too wide for them is an error."""
+    if code < 0 or code >> (_LIMB_BITS * width):
+        raise OverflowError(f"code {code} does not fit in {width} 64-bit limbs")
+    return [(code >> shift) & _LIMB_MASK for shift in range(0, _LIMB_BITS * width, _LIMB_BITS)]
+
+
+def _join(*limbs: int) -> int:
+    """The code whose limbs, least significant first, are ``limbs``."""
+    code = 0
+    for limb in reversed(limbs):
+        code = code << _LIMB_BITS | limb
+    return code
+
+
+class Records(Sequence[int]):
+    """Record codes packed ``width`` unsigned 64-bit limbs each, least
+    significant limb first, back to back in one ``array('Q')``. Reads as an
+    immutable sequence of ints: indexing and iteration give the codes,
+    slices, ``+`` and ``*`` give ``Records``, and it equals any sequence of
+    the same ints. The limbs are machine words, so the order of bytes in
+    memory is the machine's."""
+
+    __slots__ = ("words", "width")
+
+    def __init__(self, words: array, width: int = 1) -> None:
+        self.words = words
+        self.width = width
+
+    @classmethod
+    def pack(cls, codes: Iterable[int], width: int) -> "Records":
+        if width == 1:
+            return cls(array("Q", codes))
+        return cls(array("Q", chain.from_iterable(_limbs(code, width) for code in codes)), width)
+
+    def __len__(self) -> int:
+        return len(self.words) // self.width
+
+    def __iter__(self) -> Iterator[int]:
+        if self.width == 1:
+            return iter(self.words)
+        return map(_join, *[iter(self.words)] * self.width)
+
+    def __getitem__(self, index):
+        width, words = self.width, self.words
+        if isinstance(index, slice):
+            if width == 1:
+                return Records(words[index])
+            rows = range(len(self))[index]
+            if rows.step != 1:
+                return Records.pack(map(self.__getitem__, rows), width)
+            return Records(words[rows.start * width : rows.stop * width], width)
+        if width == 1:
+            return words[index]
+        i = range(len(self))[index]
+        return _join(*words[i * width : (i + 1) * width])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Records) and other.width == self.width:
+            return self.words == other.words
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))  # as the equal tuple's
+
+    def __add__(self, other: Sequence[int]) -> "Records":
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        if not isinstance(other, Records) or other.width != self.width:
+            other = Records.pack(other, self.width)
+        return Records(self.words + other.words, self.width)
+
+    def __mul__(self, factor: int) -> "Records":
+        return Records(self.words * factor, self.width)
+
+    def __repr__(self) -> str:
+        return f"Records({tuple(self)!r}, width={self.width})"
+
+
 @dataclass(frozen=True)
 class PartitionedDatabase:
     """Encoded records grouped by goal class, plus the property catalog.
 
-    ``partitions[k]`` holds the record codes of goal k in input order; the
-    sizes, the total and the flat ``records`` are derived from it.
+    ``partitions[k]`` holds the record codes of goal k in input order, as
+    ``Records`` of the catalog's width: given any sequences of ints, the
+    constructor packs them. The sizes, the total and the flat ``records``
+    are derived from it.
     """
 
-    partitions: tuple[tuple[int, ...], ...]
+    partitions: tuple[Records, ...]
     goal_labels: tuple[str, ...]
     catalog: PropertyCatalog
     skipped_rows: int = 0
@@ -368,6 +462,12 @@ class PartitionedDatabase:
     def __post_init__(self) -> None:
         if len(self.goal_labels) != len(self.partitions):
             raise DataError("one partition per goal label required")
+        width = _width(len(self.catalog))
+        parts = tuple(
+            part if isinstance(part, Records) and part.width == width else Records.pack(part, width)
+            for part in self.partitions
+        )
+        object.__setattr__(self, "partitions", parts)
 
     @cached_property
     def partition_sizes(self) -> tuple[int, ...]:
@@ -378,9 +478,12 @@ class PartitionedDatabase:
         return sum(self.partition_sizes)
 
     @property
-    def records(self) -> tuple[int, ...]:
+    def records(self) -> Records:
         """Every goal's records, contiguously in goal order."""
-        return tuple(chain.from_iterable(self.partitions))
+        words = array("Q")
+        for part in self.partitions:
+            words.extend(part.words)
+        return Records(words, _width(len(self.catalog)))
 
     @cached_property
     def bitmaps(self) -> tuple[tuple[int, ...], ...]:
@@ -399,18 +502,17 @@ def set_bits(code: int) -> Iterator[int]:
         code ^= low
 
 
-def _bitmaps_numpy(part: Sequence[int], m: int) -> tuple[int, ...]:
-    """One goal's property bitmaps, one 64-bit limb of the codes at a time.
-    Bit b of a little-endian word sits in its byte b // 8, so each property
-    is a strided byte view, masked and packed; no rows x properties matrix."""
-    out = []
-    for base in range(0, m, _LIMB_BITS):
-        codes = part if m <= _LIMB_BITS else ((code >> base) & _LIMB_MASK for code in part)
-        limb = _np.fromiter(codes, dtype="<u8", count=len(part)).view(_np.uint8)
-        for bit in range(min(_LIMB_BITS, m - base)):
-            packed = _np.packbits(limb[bit >> 3 :: 8] & (1 << (bit & 7)), bitorder="little")
-            out.append(int.from_bytes(packed.tobytes(), "little"))
-    return tuple(out)
+def _bitmaps_numpy(part: Records, m: int) -> tuple[int, ...]:
+    """One goal's property bitmaps, read in place from its packed words as
+    an (n, 8L) matrix of bytes, the words made little-endian (a copy only on
+    a big-endian machine): property i is bit i % 8 of byte column i // 8,
+    masked and packed; no rows x properties matrix."""
+    words = _np.frombuffer(part.words, dtype=_np.uint64).astype("<u8", copy=False)
+    rows = words.view(_np.uint8).reshape(len(part), 8 * part.width)
+    return tuple(
+        int.from_bytes(_np.packbits(rows[:, i >> 3] & (1 << (i & 7)), bitorder="little"), "little")
+        for i in range(m)
+    )
 
 
 def _bitmaps_pure(part: Sequence[int], m: int) -> tuple[int, ...]:
@@ -470,17 +572,17 @@ class _Encoder:
         self.goal_labels = tuple(str(v) for v in target.values)
         self.catalog = build_catalog(descriptors)
         self.columns = _compile(descriptors, self.catalog)
+        self.width = width = _width(len(self.catalog))
         self.tables = self.dtype = None
         if _np is not None:
             # per column, for add_block: the bin boundaries as an array, the
-            # label dict, and the category -> code lookup table (None for the
-            # target), in uint64 up to 64 properties and Python ints above
-            codes_dtype = _np.uint64 if len(self.catalog) <= _LIMB_BITS else object
+            # label dict, and the category -> code lookup table, one row of
+            # uint64 limbs per category (None for the target)
             self.tables = [
                 (
                     None if bounds is None else _np.array(bounds, dtype=float),
                     labels,
-                    None if codes is None else _np.array(codes, dtype=codes_dtype),
+                    None if codes is None else _np.array([_limbs(c, width) for c in codes], _np.uint64),
                 )
                 for _, bounds, labels, codes in self.columns
             ]
@@ -491,7 +593,7 @@ class _Encoder:
                 for i, d in enumerate(descriptors)
             ])
         self.skip_missing = skip_missing
-        self.buckets: list[list[int]] = [[] for _ in self.goal_labels]
+        self.buckets = [array("Q") for _ in self.goal_labels]  # each goal's words
         self.rows = 0
         self.skipped = 0
 
@@ -511,21 +613,22 @@ class _Encoder:
                     self.skipped += 1
                     continue
                 raise DataError(f"row {row_number}: {exc}") from exc
-            self.buckets[goal].append(code)
+            self.buckets[goal].extend(_limbs(code, self.width))
         self.rows += len(chunk)
 
     def add_block(self, lines: Sequence[str]) -> bool:
         """Parse plain CSV lines (see ``_plain_block``) with numpy's text
-        reader in one call and encode them a column at a time; numpy skips
-        blank lines, as ``csv.reader`` does. Adds nothing and returns
-        ``False`` where a line does not parse, or a number is non-finite or
-        a label unknown (``""`` is never a label): then only the cell path
-        can name the bad row."""
+        reader in one call and encode them a column at a time into an
+        (n, L) matrix of limbs, whose rows go to their goal's words as raw
+        bytes; numpy skips blank lines, as ``csv.reader`` does. Adds nothing
+        and returns ``False`` where a line does not parse, or a number is
+        non-finite or a label unknown (``""`` is never a label): then only
+        the cell path can name the bad row."""
         try:
             table = _np.loadtxt(lines, dtype=self.dtype, delimiter=",", comments=None, ndmin=1)
         except ValueError:  # a row of another width, an empty or bad number
             return False
-        code = 0  # an array from the first input column on
+        code = _np.zeros((len(table), self.width), _np.uint64)
         goals = None
         for name, (bounds, labels, lookup) in zip(self.dtype.names, self.tables):
             column = table[name]
@@ -542,9 +645,9 @@ class _Encoder:
             if lookup is None:
                 goals = category
             else:
-                code |= lookup[category]
+                code |= lookup.take(category, axis=0)
         for k, bucket in enumerate(self.buckets):
-            bucket.extend(code[goals == k].tolist())
+            bucket.frombytes(code.compress(goals == k, axis=0).view(_np.uint8))
         self.rows += len(table)
         return True
 
@@ -552,7 +655,7 @@ class _Encoder:
         if not any(self.buckets):
             raise DataError("no records")
         return PartitionedDatabase(
-            partitions=tuple(tuple(bucket) for bucket in self.buckets),
+            partitions=tuple(Records(bucket, self.width) for bucket in self.buckets),
             goal_labels=self.goal_labels,
             catalog=self.catalog,
             skipped_rows=self.skipped,

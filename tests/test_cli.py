@@ -590,11 +590,13 @@ MINE = "from goalrules.cli import run; sys.argv[0] = 'goalrules'; run()"
 
 
 class TestWithoutNumpy:
-    @pytest.mark.parametrize("continuous", [10, 22], ids=["30-properties", "66-properties"])
+    @pytest.mark.parametrize(
+        "continuous", [10, 22, 43], ids=["30-properties", "66-properties", "129-properties"]
+    )
     def test_mine_matches_the_numpy_run(self, tmp_path, continuous):
         """With numpy's import blocked, the program takes its pure-Python
-        paths: the same partitions, and the same output apart from the
-        timings."""
+        paths: the same partitions, packed in as many 64-bit limbs, and the
+        same output apart from the timings."""
         pytest.importorskip("numpy", exc_type=ImportError)
         import goalrules
 
@@ -618,6 +620,7 @@ class TestWithoutNumpy:
         assert with_numpy.startswith(b"False ") and without.startswith(b"True ")
         pdb = preprocess_csv(db, dbd, skip_missing=True)
         assert with_numpy == f"False {pdb.partitions} 1\n".encode()
+        assert with_numpy.count(f"width={-(-3 * continuous // 64)})".encode()) == 3
         assert without == b"True" + with_numpy[5:]
         doc = json.loads(outputs[1])
         assert len(doc["catalog"]) == 3 * continuous
@@ -775,3 +778,25 @@ class TestClosedStdout:
         )
         assert done.returncode == 2
         assert done.stderr == b"error: standard output is closed\n"
+
+
+class TestClosedStderr:
+    @pytest.mark.parametrize(
+        "extra,status",
+        [([], 3), (["--min-corr", "5"], 2)],
+        ids=["data-error", "config-error"],
+    )
+    def test_error_status_without_stderr(self, tmp_path, extra, status):
+        """``goalrules mine ... 2>&-``: the error line has nowhere to go, but
+        the status is still the error's, not 1 from a failed print."""
+        import goalrules
+
+        env = dict(os.environ, PYTHONPATH=str(Path(goalrules.__file__).parent.parent))
+        argv = ["mine", "--db", str(tmp_path / "absent.csv"), "--dbd", str(tmp_path / "absent.json"), *extra]
+        for redirect in ("2>&-", ""):
+            done = subprocess.run(
+                ["sh", "-c", f'exec "$0" -m goalrules.cli "$@" {redirect}', sys.executable, *argv],
+                env=env, capture_output=True, timeout=60,
+            )
+            assert (done.returncode, done.stdout) == (status, b"")
+            assert done.stderr == b"" if redirect else done.stderr.startswith(b"error: ")

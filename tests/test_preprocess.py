@@ -4,7 +4,9 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 import warnings
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from goalrules import (
     ColumnDescriptor,
     DataError,
+    MiningConfig,
     MissingValueError,
     PartitionedDatabase,
     PropertyCatalog,
@@ -25,12 +28,22 @@ from goalrules import (
     preprocess_csv,
     read_table,
 )
+from goalrules import engine, mine
 from goalrules.metrics import support
-from goalrules.preprocess import database_from_dict, database_to_dict, replicate
+from goalrules.preprocess import (
+    Records,
+    _compile,
+    _encode,
+    _Encoder,
+    database_from_dict,
+    database_to_dict,
+    replicate,
+)
 from goalrules.cli import _premise_names, main
-from goalrules.datasets import synthetic_tables
+from goalrules.datasets import save_tables, synthetic_tables
 
-from conftest import generic_catalog
+from conftest import assert_rulesets_equal, generic_catalog
+from oracle import from_database, oracle_mine
 
 DESC = {
     "columns": [
@@ -1138,3 +1151,175 @@ class TestPreprocessRowByRow(TestPreprocess):
 class TestCsvRowByRow(TestCsv):
     """``TestCsv`` without numpy, where every block takes the cell path and is
     encoded row by row."""
+
+
+class TestRecords:
+    CODES = (1, 1 << 63, 1 << 64 | 5, (1 << 129) - 1, 7)
+
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_reads_as_a_sequence_of_ints(self, width):
+        records = Records.pack(self.CODES, width)
+        assert (len(records), records.width, len(records.words)) == (5, width, 5 * width)
+        assert list(records) == list(self.CODES) and records == self.CODES and self.CODES == records
+        assert [records[i] for i in range(-5, 5)] == list(self.CODES * 2)
+        for cut in (slice(1, 3), slice(None, None, -1), slice(4, 1), slice(-2, None), slice(None, None, 2)):
+            assert records[cut] == self.CODES[cut] and records[cut].width == width
+        assert records + (2,) == self.CODES + (2,) and records * 2 == self.CODES * 2
+        assert records != self.CODES[:4] and records != [*self.CODES[:4], 8]
+        assert hash(records) == hash(self.CODES)
+        assert repr(records) == f"Records({self.CODES!r}, width={width})"
+        with pytest.raises(IndexError):
+            records[5]
+
+    def test_one_limb_reads_the_array_itself(self):
+        records = Records.pack((9, 10, 20), 1)
+        assert records.words == array("Q", (9, 10, 20))
+        assert records[::-1] == (20, 10, 9) and records[1:] + records[:1] == (10, 20, 9)
+        assert Records.pack((), 1) == () and not Records.pack((), 2)
+
+    @pytest.mark.parametrize("code,width", [(-1, 1), (1 << 64, 1), (-1, 2), (1 << 128, 2)])
+    def test_code_wider_than_its_limbs_is_an_error(self, code, width):
+        with pytest.raises(OverflowError):
+            Records.pack((3, code), width)
+
+    def test_constructor_packs_to_the_catalog_width(self):
+        pdb = PartitionedDatabase(((1 << 70, 3), [1 << 64]), ("a", "b"), generic_catalog(71))
+        assert [(type(p), p.width) for p in pdb.partitions] == [(Records, 2)] * 2
+        assert pdb.partitions == ((1 << 70, 3), (1 << 64,))
+        assert pdb.records == (1 << 70, 3, 1 << 64) and pdb.records.width == 2
+        same = PartitionedDatabase(pdb.partitions, ("a", "b"), pdb.catalog)
+        assert all(a is b for a, b in zip(same.partitions, pdb.partitions))
+
+
+def width_table(m: int, rows: int = 60, seed: int = 0) -> tuple[dict, list[list[str]]]:
+    """A description over m properties and rows leaning toward their goal.
+    Columns of 3 classes fill bits 0..59; above 64 properties, a 5-class
+    column holds bits 60..64, across the first limb's edge, and 3-class
+    columns then a last one of 2-4 classes fill the rest (at 129
+    properties, bits 125..128 across the second limb's edge). Even columns
+    are continuous, odd ones categorical; a row's leaning category is
+    ``(goal + classes - 2) % classes``, so bits 63 and 64 both occur."""
+    sizes, left = [3] * 20, m - 60
+    if m > 64:
+        sizes.append(5)
+        left -= 5
+        while left > 4:
+            sizes.append(3)
+            left -= 3
+    if left:
+        sizes.append(left)
+    columns = []
+    for j, classes in enumerate(sizes):
+        if j % 2:
+            columns.append({"name": f"d{j}", "kind": "categorical", "classes": classes,
+                            "values": [f"v{c}" for c in range(classes)]})
+        else:
+            columns.append({"name": f"c{j}", "kind": "continuous", "classes": classes,
+                            "values": list(range(1, classes))})
+    columns.append({"name": "goal", "kind": "target", "classes": 3, "values": ["g0", "g1", "g2"]})
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(rows):
+        goal = rng.randrange(3)
+        cells = []
+        for j, classes in enumerate(sizes):
+            c = (goal + classes - 2) % classes if rng.random() < 0.6 else rng.randrange(classes)
+            cells.append(f"v{c}" if j % 2 else f"{c + 0.5}")
+        lines.append([*cells, f"g{goal}"])
+    return {"columns": columns}, lines
+
+
+class TestRecordWidths:
+    """Tables at and around the 64-bit limb edges: every way in gives the
+    codes of ``_encode``, packed at the catalog's width, and the rules of
+    the oracle."""
+
+    WIDTHS = [63, 64, 65, 128, 129]
+
+    @staticmethod
+    def write(tmp_path, doc, lines, quoting=csv.QUOTE_MINIMAL, copies=1):
+        db, dbd = tmp_path / "w.csv", tmp_path / "w.json"
+        dbd.write_text(json.dumps(doc))
+        with open(db, "w", newline="") as handle:
+            writer = csv.writer(handle, quoting=quoting, lineterminator="\n")
+            writer.writerow([c["name"] for c in doc["columns"]])
+            writer.writerows(lines * copies)
+        return db, dbd
+
+    @staticmethod
+    def expected(doc, lines, copies=1):
+        descriptors = make_descriptors(doc)
+        columns = _compile(descriptors, build_catalog(descriptors))
+        parts = ([], [], [])
+        for cells in lines * copies:
+            code, goal = _encode(cells, columns)
+            parts[goal].append(code)
+        return tuple(map(tuple, parts))
+
+    @staticmethod
+    def assert_packed(pdb, m, expected):
+        assert len(pdb.catalog) == m
+        assert all(isinstance(p, Records) and p.width == -(-m // 64) for p in pdb.partitions)
+        assert pdb.partitions == expected
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_every_path_gives_the_codes_of_encode(self, m, tmp_path, monkeypatch):
+        pytest.importorskip("numpy", exc_type=ImportError)
+        doc, lines = width_table(m)
+        expected = self.expected(doc, lines)
+        if m > 64:
+            assert any(code >> 63 & 1 for part in expected for code in part)
+            assert any(code >> 64 & 1 for part in expected for code in part)
+        plain = self.write(tmp_path, doc, lines)
+        with monkeypatch.context() as patch:
+            patch.setattr(_Encoder, "add_chunk", None)  # the block reader alone
+            pdb = preprocess_csv(*plain)
+        self.assert_packed(pdb, m, expected)
+        quoted = self.write(tmp_path, doc, lines, quoting=csv.QUOTE_ALL)
+        assert '"' in quoted[0].read_text().splitlines()[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(_Encoder, "add_block", None)  # the cell path alone
+            self.assert_packed(preprocess_csv(*quoted), m, expected)
+        names = [c["name"] for c in doc["columns"]]
+        rows = [dict(zip(names, cells)) for cells in lines]
+        self.assert_packed(preprocess(rows, make_descriptors(doc)), m, expected)
+        dump_database(pdb, tmp_path / "dump.json")
+        self.assert_packed(load_database(tmp_path / "dump.json"), m, expected)
+        self.assert_packed(replicate(pdb, 3), m, tuple(part * 3 for part in expected))
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_rules_match_the_oracle(self, m, tmp_path):
+        doc, lines = width_table(m)
+        config = MiningConfig(min_corr=0.3, max_premise_len=3)
+        for copies in (1, 3):
+            pdb = preprocess_csv(*self.write(tmp_path, doc, lines, copies=copies))
+            self.assert_packed(pdb, m, self.expected(doc, lines, copies))
+            assert engine._Root.of(pdb, engine._property_counts(pdb)).g == copies
+            rules = mine(pdb, config)
+            assert_rulesets_equal(rules, oracle_mine(from_database(pdb), 3, config))
+            premises = [r.premise for r in rules.all_positive()]
+            assert any(p.bit_count() > 1 for p in premises)
+            if m > 64:
+                assert any(p >> 63 for p in premises)
+
+
+class TestRecordMemory:
+    def test_records_take_their_words_and_little_more(self, tmp_path):
+        """``preprocess_csv`` on 200,000 plain rows of 30 properties peaks at
+        8 bytes a record, 1/8 more for the arrays' growth, and 1 MB for one
+        block in flight (``tracemalloc`` counts numpy's buffers too). Boxed
+        ints in tuples took about 45 bytes a record."""
+        pytest.importorskip("numpy", exc_type=ImportError)
+        table, description = synthetic_tables(100, 10, categorical=0, seed=3)
+        db, dbd = tmp_path / "t.csv", tmp_path / "t.json"
+        save_tables(table, description, db, dbd)
+        header, *block = db.read_text().splitlines(keepends=True)
+        db.write_text(header + "".join(block) * 2000)
+        tracemalloc.start()
+        try:
+            pdb = preprocess_csv(db, dbd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pdb.total == 200_000 and len(pdb.catalog) == 30
+        assert peak <= 8 * pdb.total * 9 / 8 + (1 << 20)
