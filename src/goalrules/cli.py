@@ -3,8 +3,9 @@ and generate synthetic demo data.
 
 Exit codes: 0 success, 1 ``bench`` invariant broken, 2 usage or configuration
 error, or standard output closed before the run, 3 data error, 141 standard
-output closed early by its reader. With standard error closed, an error's
-line is dropped and its status kept.
+output closed early by its reader. With standard error closed, what would
+go there (an error line, or the report of ``mine --format csv`` and of
+``preprocess`` without ``--out``) is dropped and the status kept.
 """
 
 from __future__ import annotations
@@ -266,22 +267,19 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     if args.out:
         dump_database(pdb, args.out)
     # without --out the dump goes to stdout, so the report moves to stderr
-    report_stream = sys.stdout if args.out else sys.stderr
-    print(f"{'idx':>4} {'name':<8} {'column':<14} meaning", file=report_stream)
+    report = print if args.out else _to_stderr
+    report(f"{'idx':>4} {'name':<8} {'column':<14} meaning")
     for prop in pdb.catalog:
-        print(
-            f"{prop.index:>4} {prop.name:<8} {prop.column:<14} {prop.full_name}",
-            file=report_stream,
-        )
+        report(f"{prop.index:>4} {prop.name:<8} {prop.column:<14} {prop.full_name}")
     sizes = ", ".join(
         f"{label}={size}" for label, size in zip(pdb.goal_labels, pdb.partition_sizes)
     )
-    print(f"partitions: {sizes} (total {pdb.total})", file=report_stream)
+    report(f"partitions: {sizes} (total {pdb.total})")
     if pdb.skipped_rows:
-        print(f"skipped rows: {pdb.skipped_rows}", file=report_stream)
-    print(f"preprocess_seconds={elapsed:.3f}", file=report_stream)
+        report(f"skipped rows: {pdb.skipped_rows}")
+    report(f"preprocess_seconds={elapsed:.3f}")
     if args.out:
-        print(f"encoded database written to {args.out}", file=report_stream)
+        report(f"encoded database written to {args.out}")
     else:
         json.dump(database_to_dict(pdb), sys.stdout, indent=2)
         print()
@@ -314,7 +312,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         write_mining_json(sys.stdout, ruleset, pdb, config, report)
     elif args.format == "csv":
         sys.stdout.write(format_rules_csv(ruleset, pdb))
-        print(_report_text(report), file=sys.stderr)
+        _to_stderr(_report_text(report))
     else:
         print(format_rules_table(ruleset, pdb))
         print(_report_text(report))
@@ -356,7 +354,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{len(ruleset.all_positive()):>6} {'yes' if invariant else 'NO'}"
         )
     if not ok:
-        print("rule criteria changed under duplication", file=sys.stderr)
+        _to_stderr("rule criteria changed under duplication")
         return 1
     return 0
 
@@ -416,14 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error(message: str) -> None:
-    """Print one error line to stderr. Where stderr cannot be written, as
-    after ``2>&-``, the line is dropped, so that the exit status alone still
-    tells the error's kind."""
+def _to_stderr(text: str) -> None:
+    """Print text to stderr: the one writer there, for error lines and
+    reports alike. Where stderr cannot be written, as after ``2>&-``, the
+    text is dropped, so that the exit status alone still tells how the run
+    ended."""
     if sys.stderr is None:
         return
     try:
-        print(f"error: {message}", file=sys.stderr, flush=True)
+        print(text, file=sys.stderr, flush=True)
     except OSError:
         sys.stderr = None  # nor flushed again at exit
 
@@ -434,10 +433,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        _error(str(exc))
+        _to_stderr(f"error: {exc}")
         return 2
     except DataError as exc:
-        _error(str(exc))
+        _to_stderr(f"error: {exc}")
         return 3
 
 
@@ -446,7 +445,7 @@ def run() -> None:
         if stream is not None:  # None where the stream was closed at start, as `>&-` does
             stream.reconfigure(encoding="utf-8", errors=stream.errors)
     if sys.stdout is None:
-        _error("standard output is closed")
+        _to_stderr("error: standard output is closed")
         sys.exit(2)
     try:
         status = main()

@@ -9,10 +9,11 @@ significant first, and each goal's codes lie back to back in one
 
 Rows are encoded by one of two paths, chosen by content. Cells that arrive
 one by one (mapping rows, or CSV lines that need ``csv.reader``) take the
-cell path: ``_encode``, row by row. A block of plain CSV lines is parsed by
-numpy's C text reader in one call and encoded a column at a time instead.
-The paths accept the same rows and give the same codes and the same error
-text.
+cell path: each row is read and encoded by ``_encode`` before the next is
+read. A block of plain CSV lines is parsed by numpy's C text reader in one
+call and encoded a column at a time instead. The paths accept the same rows
+and give the same codes and the same error text, and rows are taken in file
+order, so an error names the first bad line of the file.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice, zip_longest
+from itertools import accumulate, chain, zip_longest
 from math import isfinite
 from operator import eq
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -38,11 +39,6 @@ except ImportError:  # pragma: no cover - numpy is an optional accelerator
 
 _LIMB_BITS = 64
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-
-# Rows of the cell path read before any of them is encoded, on a fixed grid
-# of row numbers. The grid fixes which error is reported first, a bad row or
-# a CSV syntax error later in its chunk, however the rows are delivered.
-_CHUNK_ROWS = 256
 
 # Characters of CSV text read per block, which numpy.loadtxt parses in one
 # call: about 750 rows of an 11-column table. On a 442,000-row table, 64k
@@ -563,9 +559,8 @@ def _plain_block(lines: Sequence[str]) -> bool:
 
 class _Encoder:
     """The goal partitions of the rows encoded so far, in input order. Rows
-    are numbered from 1 as they arrive. Cells are read in chunks on a fixed
-    grid of ``_CHUNK_ROWS`` rows, so that which bad row or CSV syntax error
-    is reported first does not depend on how rows are delivered."""
+    are numbered from 1 as they arrive, a row at a time from the cell path
+    or a block at a time from the block path."""
 
     def __init__(self, descriptors: Sequence[ColumnDescriptor], skip_missing: bool) -> None:
         target = validate_descriptors(descriptors)
@@ -597,24 +592,17 @@ class _Encoder:
         self.rows = 0
         self.skipped = 0
 
-    @property
-    def room(self) -> int:
-        """Rows left in the current chunk of the grid."""
-        return _CHUNK_ROWS - self.rows % _CHUNK_ROWS
-
-    def add_chunk(self, chunk: Sequence[Sequence]) -> None:
-        """Encode rows of cells that stay within one chunk of the grid, row
-        by row, naming the first bad row."""
-        for row_number, cells in enumerate(chunk, start=self.rows + 1):
-            try:
-                code, goal = _encode(cells, self.columns)
-            except DataError as exc:
-                if self.skip_missing and isinstance(exc, MissingValueError):
-                    self.skipped += 1
-                    continue
-                raise DataError(f"row {row_number}: {exc}") from exc
-            self.buckets[goal].extend(_limbs(code, self.width))
-        self.rows += len(chunk)
+    def add_row(self, cells: Sequence) -> None:
+        """Encode one row of cells; a bad row is named by its number."""
+        self.rows += 1
+        try:
+            code, goal = _encode(cells, self.columns)
+        except DataError as exc:
+            if self.skip_missing and isinstance(exc, MissingValueError):
+                self.skipped += 1
+                return
+            raise DataError(f"row {self.rows}: {exc}") from exc
+        self.buckets[goal].extend(_limbs(code, self.width))
 
     def add_block(self, lines: Sequence[str]) -> bool:
         """Parse plain CSV lines (see ``_plain_block``) with numpy's text
@@ -673,11 +661,10 @@ def preprocess(
     out as ``csv.DictReader`` yields them: extra cells under the key
     ``None`` make a row an error, also under ``skip_missing``.
 
-    Rows are encoded one by one with ``_encode``. They are read in chunks
-    of 256 before any of them is encoded, as ``preprocess_csv`` reads its
-    cell path, so an error raised while ``rows`` is read (such as a CSV
-    syntax error from ``read_table``) wins over a bad row earlier in its
-    chunk, whichever function reads the table.
+    Each row is encoded with ``_encode`` before the next is read, so a bad
+    row is reported before an error that reading ``rows`` raises later (such
+    as a CSV syntax error from ``read_table``), as ``preprocess_csv``
+    reports it.
 
     Rows with missing cells are a hard error naming the row and column
     unless ``skip_missing`` is set, in which case they are dropped and
@@ -686,9 +673,8 @@ def preprocess(
     """
     encoder = _Encoder(descriptors, skip_missing)
     names = [d.name for d in descriptors]
-    cells = (_row_cells(row, names) for row in rows)
-    while chunk := list(islice(cells, _CHUNK_ROWS)):
-        encoder.add_chunk(chunk)
+    for row in rows:
+        encoder.add_row(_row_cells(row, names))
     return encoder.database()
 
 
@@ -767,14 +753,13 @@ def preprocess_csv(db_path, dbd_path, *, skip_missing: bool = False) -> Partitio
     is parsed by ``numpy.loadtxt`` in one call, its numbers binned with
     ``searchsorted`` and its labels looked up whole. Every other block, one
     that numpy refuses, and one with a non-finite number or an unknown label
-    goes to the cell path: ``csv.reader`` reads its rows, and those after it
-    up to the end of a 256-row chunk, and ``_encode`` encodes them row by
-    row, as ``preprocess`` does. So the accept set, the row named by an
-    error and its text, and the ``skipped_rows`` count are the same
-    whichever path a row takes.
-    Blank lines are dropped. A CSV syntax error, such as a field over
-    ``csv.field_size_limit()``, is named by line as it is read, even when an
-    earlier row of its 256-row chunk is also bad.
+    goes to the cell path: ``csv.reader`` reads its rows one at a time,
+    going past the block's end only to close a quoted field, and ``_encode``
+    encodes each, as ``preprocess`` does. So the accept set, the error text
+    and the ``skipped_rows`` count are the same whichever path a row takes,
+    and an error names the first bad line of the file: a bad row by its
+    number, a CSV syntax error (such as a field over
+    ``csv.field_size_limit()``) by its line. Blank lines are dropped.
     """
     descriptors = parse_description(_read_text(dbd_path))
     encoder = _Encoder(descriptors, skip_missing)
@@ -786,14 +771,13 @@ def preprocess_csv(db_path, dbd_path, *, skip_missing: bool = False) -> Partitio
             if encoder.dtype is not None and _plain_block(block) and encoder.add_block(block):
                 line += len(block)
                 continue
-            # whole chunks of the grid, read on past the block if need be, so
-            # that each chunk is read before it is encoded, as preprocess()
-            # reads it
+            # the block's rows, and the lines after it that close a quoted
+            # field opened in it
             reader = csv.reader(chain(block, handle))
-            rows = filter(None, reader)
             with _line_errors(reader, line):
-                while reader.line_num < len(block) and (chunk := list(islice(rows, encoder.room))):
-                    encoder.add_chunk(chunk)
+                while reader.line_num < len(block):
+                    if cells := next(reader):
+                        encoder.add_row(cells)
             line += reader.line_num
     return encoder.database()
 

@@ -103,7 +103,7 @@ class TestPreprocessCommand:
     def test_missing_cell_names_row_and_column(self, table, tmp_path, capsys):
         db, dbd = table
         broken = tmp_path / "broken.csv"
-        content = open(db).read() + "0.3,,g0\n"
+        content = Path(db).read_text() + "0.3,,g0\n"
         broken.write_text(content)
         assert main(["preprocess", "--db", str(broken), "--dbd", dbd]) == 3
         err = capsys.readouterr().err
@@ -139,7 +139,7 @@ class TestPreprocessCommand:
     def test_skip_missing_reports_count(self, table, tmp_path, capsys):
         db, dbd = table
         broken = tmp_path / "broken.csv"
-        broken.write_text(open(db).read() + "0.3,,g0\n")
+        broken.write_text(Path(db).read_text() + "0.3,,g0\n")
         out = tmp_path / "enc.json"
         code = main(
             ["preprocess", "--db", str(broken), "--dbd", dbd, "--skip-missing", "--out", str(out)]
@@ -781,6 +781,18 @@ class TestClosedStdout:
 
 
 class TestClosedStderr:
+    @staticmethod
+    def run(argv, redirect):
+        """``goalrules`` in a subprocess, its stderr closed when
+        ``redirect`` is ``2>&-``."""
+        import goalrules
+
+        env = dict(os.environ, PYTHONPATH=str(Path(goalrules.__file__).parent.parent))
+        return subprocess.run(
+            ["sh", "-c", f'exec "$0" -m goalrules.cli "$@" {redirect}', sys.executable, *argv],
+            env=env, capture_output=True, timeout=60,
+        )
+
     @pytest.mark.parametrize(
         "extra,status",
         [([], 3), (["--min-corr", "5"], 2)],
@@ -789,14 +801,25 @@ class TestClosedStderr:
     def test_error_status_without_stderr(self, tmp_path, extra, status):
         """``goalrules mine ... 2>&-``: the error line has nowhere to go, but
         the status is still the error's, not 1 from a failed print."""
-        import goalrules
-
-        env = dict(os.environ, PYTHONPATH=str(Path(goalrules.__file__).parent.parent))
         argv = ["mine", "--db", str(tmp_path / "absent.csv"), "--dbd", str(tmp_path / "absent.json"), *extra]
         for redirect in ("2>&-", ""):
-            done = subprocess.run(
-                ["sh", "-c", f'exec "$0" -m goalrules.cli "$@" {redirect}', sys.executable, *argv],
-                env=env, capture_output=True, timeout=60,
-            )
+            done = self.run(argv, redirect)
             assert (done.returncode, done.stdout) == (status, b"")
             assert done.stderr == b"" if redirect else done.stderr.startswith(b"error: ")
+
+    @pytest.mark.parametrize(
+        "command,report",
+        [(["mine", "--format", "csv"], b"# dataset="), (["preprocess"], b" idx name")],
+        ids=["mine-csv", "preprocess"],
+    )
+    def test_report_dropped_without_stderr(self, table, command, report):
+        """``goalrules mine --format csv ... 2>&-``: the report meant for
+        stderr is dropped, and the run succeeds with its stdout whole."""
+        db, dbd = table
+        outputs = []
+        for redirect in ("2>&-", ""):
+            done = self.run([*command, "--db", db, "--dbd", dbd], redirect)
+            assert done.returncode == 0
+            assert done.stderr == b"" if redirect else done.stderr.startswith(report)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] and outputs[0].startswith((b"premise,", b"{"))

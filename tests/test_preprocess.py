@@ -687,10 +687,13 @@ class TestCsv:
 
     @pytest.mark.parametrize("first", ["5,red,no", "5,green,no"])
     def test_csv_syntax_error_names_its_line(self, tmp_path, capsys, first):
-        # a field over csv.field_size_limit(), reported by line even when
-        # an earlier row of its chunk has an unknown label
+        # a field over csv.field_size_limit(), reported by line unless an
+        # earlier row of the same block has an unknown label: rows are read
+        # in file order, and the first bad one is named
         db, dbd = self.write_files(tmp_path, [first, "x" * 131_073 + ",red,no", "25,blue,yes"])
         message = "line 3: field larger than field limit (131072)"
+        if "green" in first:
+            message = "row 1: unknown label 'green' in column 'color'"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             preprocess_csv(db, dbd)
         assert main(["preprocess", "--db", str(db), "--dbd", str(dbd)]) == 3
@@ -763,9 +766,8 @@ DEFECTS = {
 
 @st.composite
 def csv_lines_with_defects(draw):
-    """Data lines of a ``DESC`` table, 1-700 rows so that they span up to
-    three chunks, with one or two defects at random rows and optional
-    blank lines."""
+    """Data lines of a ``DESC`` table, 1-700 rows, with one or two defects
+    at random rows and optional blank lines."""
     rng = draw(st.randoms(use_true_random=False))
     count = draw(st.integers(1, 700))
     temps = ["5", "10", "12.5", "-3e1", "20", "25"]
@@ -810,6 +812,9 @@ def encode_lines_row_by_row(lines, descriptors, skip_missing):
 
 
 class TestChunkedCsv:
+    """``preprocess_csv`` against ``encode_lines_row_by_row``, on tables of
+    up to 700 rows with defects anywhere in them."""
+
     @pytest.mark.parametrize("numpy_absent", [False, True], ids=["numpy", "pure_scan"])
     @given(lines=csv_lines_with_defects())
     @settings(
@@ -841,16 +846,52 @@ def preprocess_outcome(read, skip_missing):
     return pdb.partitions, pdb.skipped_rows
 
 
+def read_whole_file(db, descriptors, skip_missing):
+    """Reference for what a CSV reads as, and for which error comes first:
+    the whole file read by one ``csv.reader``, in no blocks, and each
+    non-blank row encoded with ``encode_row`` before the next is read.
+    Returns what ``preprocess_outcome`` returns."""
+    catalog = build_catalog(descriptors)
+    names = [d.name for d in descriptors]
+    buckets = [[] for d in descriptors if d.is_target for _ in d.values]
+    number = skipped = 0
+    with open(db, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        reader = csv.reader(handle)
+        try:
+            assert next(reader) == names
+            for cells in filter(None, reader):
+                number += 1
+                row = dict(zip(names, cells))
+                if len(cells) > len(names):
+                    row[None] = cells[len(names) :]
+                try:
+                    code, goal = encode_row(row, descriptors, catalog)
+                except DataError as exc:
+                    if skip_missing and isinstance(exc, MissingValueError):
+                        skipped += 1
+                        continue
+                    return f"row {number}: {exc}"
+                buckets[goal].append(code)
+        except csv.Error as exc:
+            return f"line {reader.line_num}: {exc}"
+    if not any(buckets):
+        return "no records"
+    return tuple(map(tuple, buckets)), skipped
+
+
 def assert_reads_as_cells(db, dbd):
-    """``preprocess_csv`` against ``csv.reader`` and the cell encoders, with
-    and without ``skip_missing``; returns the outcome without."""
+    """``preprocess_csv`` and ``preprocess(read_table())`` against
+    ``read_whole_file``, with and without ``skip_missing``; returns the
+    outcome without."""
     descriptors = parse_description(dbd.read_text(encoding="utf-8"))
     outcomes = []
     for skip_missing in (False, True):
-        expected = preprocess_outcome(
-            lambda **kw: preprocess(read_table(db, descriptors), descriptors, **kw), skip_missing
-        )
-        assert preprocess_outcome(lambda **kw: preprocess_csv(db, dbd, **kw), skip_missing) == expected
+        expected = read_whole_file(db, descriptors, skip_missing)
+        for read in (
+            lambda **kw: preprocess(read_table(db, descriptors), descriptors, **kw),
+            lambda **kw: preprocess_csv(db, dbd, **kw),
+        ):
+            assert preprocess_outcome(read, skip_missing) == expected
         outcomes.append(expected)
     return outcomes[0]
 
@@ -1025,18 +1066,18 @@ class TestBlockReader:
         assert main(["preprocess", "--db", str(db), "--dbd", str(dbd)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("long_row", [20, 255, 256, 300])
+    @pytest.mark.parametrize("long_row", [2, 20, 255, 256, 300])
     def test_chunk_is_read_whole_across_blocks(self, tmp_path, monkeypatch, long_row):
-        # a bad row in block one and a syntax error in a later block: the
-        # syntax error is named when it falls in the bad row's 256-row
-        # chunk, since the chunk is read whole before it is encoded
+        # a bad row 3 and a line over the field limit in another block: the
+        # rows are read and encoded one at a time, in no chunks, so the one
+        # that comes first in the file is named, however far the other is
         monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_BLOCK_CHARS", 64)
         lines = ["12.5,red,no\n"] * 400
         lines[2] = "12.5,green,no\n"
         lines[long_row - 1] = "x" * 131_073 + ",red,no\n"
         db, dbd = self.write_rows(tmp_path, lines)
         expected = "row 3: unknown label 'green' in column 'color'"
-        if long_row <= 256:
+        if long_row < 3:
             expected = f"line {long_row + 1}: field larger than field limit (131072)"
         assert assert_reads_as_cells(db, dbd) == expected
 
@@ -1049,11 +1090,42 @@ class TestBlockReader:
         descriptors = parse_description(dbd.read_text())
         expected = preprocess(read_table(db, descriptors), descriptors)
 
-        def add_chunk(self, chunk):
-            raise AssertionError(f"{len(chunk)} rows of a plain table took the cell path")
+        def add_row(self, cells):
+            raise AssertionError(f"row {self.rows + 1} of a plain table took the cell path")
 
-        monkeypatch.setattr(_Encoder, "add_chunk", add_chunk)
+        monkeypatch.setattr(_Encoder, "add_row", add_row)
         assert preprocess_csv(db, dbd).partitions == expected.partitions
+
+    def test_cell_path_stops_at_the_end_of_its_block(self, tmp_path, monkeypatch):
+        from goalrules.preprocess import _BLOCK_CHARS
+
+        pytest.importorskip("numpy", exc_type=ImportError)
+        db, dbd = write_synthetic(tmp_path)
+        descriptors = parse_description(dbd.read_text())
+        expected = preprocess(read_table(db, descriptors), descriptors)
+        lines = db.read_text().splitlines(keepends=True)
+        lines[1] = '"' + lines[1].replace(",", '",', 1)  # one quoted cell, in row 1
+        db.write_text("".join(lines))
+        with open(db, newline="") as handle:
+            handle.readline()
+            first_block = len(handle.readlines(_BLOCK_CHARS))
+        assert 256 < first_block < 3_000 and first_block % 256
+        rows = {"cells": 0, "block": 0}
+        add_row, add_block = _Encoder.add_row, _Encoder.add_block
+
+        def count_row(self, cells):
+            rows["cells"] += 1
+            add_row(self, cells)
+
+        def count_block(self, block):
+            assert '"' not in "".join(block)
+            rows["block"] += len(block)
+            return add_block(self, block)
+
+        monkeypatch.setattr(_Encoder, "add_row", count_row)
+        monkeypatch.setattr(_Encoder, "add_block", count_block)
+        assert preprocess_csv(db, dbd).partitions == expected.partitions
+        assert rows == {"cells": first_block, "block": 3_000 - first_block}
 
     @pytest.mark.parametrize("numpy_absent", [False, True], ids=["numpy", "pure_scan"])
     def test_quoted_table_reads_as_its_plain_form(self, request, tmp_path, capsys, numpy_absent):
@@ -1272,7 +1344,7 @@ class TestRecordWidths:
             assert any(code >> 64 & 1 for part in expected for code in part)
         plain = self.write(tmp_path, doc, lines)
         with monkeypatch.context() as patch:
-            patch.setattr(_Encoder, "add_chunk", None)  # the block reader alone
+            patch.setattr(_Encoder, "add_row", None)  # the block reader alone
             pdb = preprocess_csv(*plain)
         self.assert_packed(pdb, m, expected)
         quoted = self.write(tmp_path, doc, lines, quoting=csv.QUOTE_ALL)
