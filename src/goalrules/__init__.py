@@ -1,7 +1,7 @@
 """Goal-directed association rule mining over bit-code encoded tables.
 
-Rows become unbounded ints (one bit per binary property), records are
-grouped by goal class, and rules X => Goal_k are searched by growing
+Rows become codes of one bit per binary property, packed as 64-bit limbs
+in each goal's ``Records``, and rules X => Goal_k are searched by growing
 premises along ascending bit positions under correlation control.
 """
 

@@ -139,15 +139,21 @@ def compute_metrics(
 def recommended_min_correlation(p: float) -> float:
     """Correlation threshold guaranteeing confidence > 0.5 for a goal whose
     outside/inside record ratio is ``p``; rises from 0 toward 0.5 as the
-    goal gets rarer. ``p`` is taken at its exact value, so pass
-    ``Fraction(total - n_k, n_k)`` where a float cannot hold the ratio. The
-    result's decimal, which is how ``mine`` reads a threshold, is never
-    below the exact threshold ``(p - 1) / 2p``."""
+    goal gets rarer. ``p`` is an int, a ``Fraction`` or an integral float:
+    ``(total - n_k) / n_k`` is already rounded, so pass
+    ``Fraction(total - n_k, n_k)``. The result's decimal, which is how
+    ``mine`` reads a threshold, is never below the exact ``(p - 1) / 2p``,
+    nor the result below the correlation ``compute_metrics`` gives a
+    confidence of 1/2."""
     if p <= 0:
         raise ValueError("partition ratio must be positive")
+    if isinstance(p, float) and not p.is_integer():
+        raise ValueError(f"partition ratio {p!r} is not an integer: pass Fraction(total - n_k, n_k)")
     a, b = p.as_integer_ratio()
     r = _positive_correlation(1, 2, p)
-    return r if Fraction(repr(r)) >= Fraction(a - b, 2 * a) else nextafter(r, inf)
+    r = r if Fraction(repr(r)) >= Fraction(a - b, 2 * a) else nextafter(r, inf)
+    # compute_metrics's correlation, on the float ratio, may be an ulp higher
+    return max(r, _positive_correlation(1, 2, float(p)))
 
 
 def _positive_correlation(sup_k: int, sup: int, p: float) -> float:
@@ -158,9 +164,9 @@ def _positive_correlation(sup_k: int, sup: int, p: float) -> float:
     It is ``conf - (1 - conf) / p`` as one correctly-rounded division of
     exact integers (``p`` as its integer ratio), so it rises with ``sup_k``
     and a confidence of 1 gives exactly 1. At ``sup_k / sup == 1/2`` it is
-    ``recommended_min_correlation(p)`` or one ulp below it, so that
-    threshold's guarantee holds for the floats too: no confidence of at most
-    0.5 yields a correlation above it.
+    at most ``recommended_min_correlation(p)``, so that threshold's
+    guarantee holds for the floats too: no confidence of at most 0.5 yields
+    a correlation above it.
     """
     a, b = p.as_integer_ratio()
     return (sup_k * a - (sup - sup_k) * b) / (sup * a)

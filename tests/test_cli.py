@@ -569,24 +569,15 @@ class TestOutputPin:
         assert digest == "e1a1a589f4c5160148d49e508e2e6a42acf548dda1a93f893f775bac083621fd"
 
 
-# Run first in a child interpreter: every import of numpy or of a numpy
-# submodule then fails as it would where numpy is not installed.
-BLOCK_NUMPY = """
-import sys
-
-class NoNumpy:
-    def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "numpy":
-            raise ImportError(f"{name} is blocked")
-
-sys.meta_path.insert(0, NoNumpy())
-"""
+# On a child's PYTHONPATH, it makes every import of numpy fail.
+WITHOUT_NUMPY = Path(__file__).parent / "without_numpy"
 PREPROCESS = """
+import sys
 from goalrules.preprocess import _np, preprocess_csv
 pdb = preprocess_csv(sys.argv[1], sys.argv[2], skip_missing=True)
 print(_np is None, pdb.partitions, pdb.skipped_rows)
 """
-MINE = "from goalrules.cli import run; sys.argv[0] = 'goalrules'; run()"
+MINE = "import sys; from goalrules.cli import run; sys.argv[0] = 'goalrules'; run()"
 
 
 class TestWithoutNumpy:
@@ -605,14 +596,15 @@ class TestWithoutNumpy:
         save_tables(table, description, db, dbd)
         with open(db, "a") as handle:  # one row for --skip-missing to drop
             handle.write("," * continuous + "\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(goalrules.__file__).parent.parent))
+        src = str(Path(goalrules.__file__).parent.parent)
         argv = ["mine", "--negative", "--format", "json", "--min-corr", "0.2", "--max-premise-len", "3",
                 "--skip-missing", "--db", str(db), "--dbd", str(dbd)]
         outputs = []
-        for prelude in ("import sys\n", BLOCK_NUMPY):
+        for path in (src, os.pathsep.join([str(WITHOUT_NUMPY), src])):
+            env = dict(os.environ, PYTHONPATH=path)
             for code, args in ((PREPROCESS, [str(db), str(dbd)]), (MINE, argv)):
                 done = subprocess.run(
-                    [sys.executable, "-c", prelude + code, *args], env=env, capture_output=True, timeout=120
+                    [sys.executable, "-c", code, *args], env=env, capture_output=True, timeout=120
                 )
                 assert done.returncode == 0, done.stderr
                 outputs.append(done.stdout)

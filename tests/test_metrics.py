@@ -239,6 +239,12 @@ class TestRecommendedMinCorrelation:
         with pytest.raises(ValueError):
             recommended_min_correlation(p)
 
+    def test_rounded_float_ratio_is_an_error(self):
+        # 4/3 as a float is below 4/3, and its threshold fell below 1/8
+        with pytest.raises(ValueError, match="Fraction"):
+            recommended_min_correlation(4 / 3)
+        assert recommended_min_correlation(Fraction(4, 3)) == 0.125
+
     @given(
         total=st.integers(4, 500),
         nk_seed=st.integers(0, 10**6),
@@ -256,7 +262,7 @@ class TestRecommendedMinCorrelation:
         # bias sup_k toward the top so the threshold is actually exceeded
         sup_k = cap - (gap % (cap + 1)) // 2
         metrics = compute_metrics(sup_k, sup, n_k, total)
-        p = (total - n_k) / n_k
+        p = Fraction(total - n_k, n_k)
         if metrics.correlation > recommended_min_correlation(p):
             assert metrics.confidence > 0.5
 
@@ -267,7 +273,7 @@ class TestRecommendedMinCorrelation:
         ties = 0
         for total in range(4, 121):
             for n_k in range(1, total // 2 + 1):
-                threshold = recommended_min_correlation((total - n_k) / n_k)
+                threshold = recommended_min_correlation(Fraction(total - n_k, n_k))
                 for sup_k in range(1, n_k + 1):
                     if sup_k > total - n_k:
                         break

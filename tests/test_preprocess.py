@@ -811,7 +811,7 @@ def encode_lines_row_by_row(lines, descriptors, skip_missing):
     return tuple(map(tuple, buckets)), skipped
 
 
-class TestChunkedCsv:
+class TestRowByRowReference:
     """``preprocess_csv`` against ``encode_lines_row_by_row``, on tables of
     up to 700 rows with defects anywhere in them."""
 
@@ -823,7 +823,7 @@ class TestChunkedCsv:
     def test_matches_row_by_row_reference(self, request, tmp_path_factory, numpy_absent, lines):
         if numpy_absent:
             request.getfixturevalue("pure_scan")
-        db, dbd = TestCsv().write_files(tmp_path_factory.mktemp("chunks"), lines)
+        db, dbd = TestCsv().write_files(tmp_path_factory.mktemp("row_by_row"), lines)
         descriptors = make_descriptors()
         for skip_missing in (False, True):
             expected = encode_lines_row_by_row(lines, descriptors, skip_missing)
@@ -1067,10 +1067,10 @@ class TestBlockReader:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("long_row", [2, 20, 255, 256, 300])
-    def test_chunk_is_read_whole_across_blocks(self, tmp_path, monkeypatch, long_row):
+    def test_first_bad_line_is_named_across_blocks(self, tmp_path, monkeypatch, long_row):
         # a bad row 3 and a line over the field limit in another block: the
-        # rows are read and encoded one at a time, in no chunks, so the one
-        # that comes first in the file is named, however far the other is
+        # rows are read and encoded one at a time, so the one that comes
+        # first in the file is named, however far the other is
         monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_BLOCK_CHARS", 64)
         lines = ["12.5,red,no\n"] * 400
         lines[2] = "12.5,green,no\n"
@@ -1248,6 +1248,39 @@ class TestRecords:
         assert records.words == array("Q", (9, 10, 20))
         assert records[::-1] == (20, 10, 9) and records[1:] + records[:1] == (10, 20, 9)
         assert Records.pack((), 1) == () and not Records.pack((), 2)
+
+    @given(data=st.data(), width=st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_behaves_like_the_tuple_of_its_codes(self, data, width):
+        codes = st.integers(0, (1 << 64 * width) - 1)
+        expected = tuple(data.draw(st.lists(codes, max_size=10)))
+        records = Records.pack(expected, width)
+        n = len(expected)
+        assert len(records) == n and tuple(iter(records)) == expected
+        for i in range(-n - 2, n + 2):
+            if -n <= i < n:
+                assert records[i] == expected[i]
+            else:
+                with pytest.raises(IndexError):
+                    records[i]
+        bound = st.none() | st.integers(-n - 2, n + 2)
+        cut = slice(*data.draw(st.tuples(bound, bound, st.none() | st.integers(-3, 3).filter(bool))))
+        assert records[cut] == expected[cut] and records[cut].width == width
+        tail = tuple(data.draw(st.lists(codes, max_size=4)))
+        assert records + tail == expected + tail
+        other_width = data.draw(st.integers(1, 3))
+        narrow = st.integers(0, (1 << 64 * min(width, other_width)) - 1)
+        other = tuple(data.draw(st.lists(narrow, max_size=4)))
+        joined = records + Records.pack(other, other_width)
+        assert joined == expected + other and joined.width == width
+        assert Records.pack(other, other_width) == Records.pack(other, width) == other
+        factor = data.draw(st.integers(-1, 3))
+        assert records * factor == expected * factor and (records * factor).width == width
+        different = tuple(data.draw(st.lists(codes, max_size=10)))
+        for against in (different, Records.pack(different, width)):
+            assert (records == against) == (expected == different)
+            assert (records != against) == (expected != different)
+        assert hash(records) == hash(expected)
 
     @pytest.mark.parametrize("code,width", [(-1, 1), (1 << 64, 1), (-1, 2), (1 << 128, 2)])
     def test_code_wider_than_its_limbs_is_an_error(self, code, width):
