@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate, chain, zip_longest
 from math import isfinite
-from operator import eq
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, MissingValueError
@@ -122,12 +122,29 @@ def validate_descriptors(descriptors: Sequence[ColumnDescriptor]) -> ColumnDescr
     return targets[0]
 
 
+def _whole(value) -> int:
+    """A JSON whole number: an integer or a string of ASCII digits. ``int()``
+    would read ``true`` as 1, truncate 2.7 to 2 and read " 1 " and "1_0"."""
+    if type(value) is int or isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    raise ValueError(f"not a whole number: {value!r}")
+
+
+def _text(value, column, key: str) -> str:
+    """A description's text: a JSON string, or a number read as its text.
+    ``str()`` would also read null as "None" and ``true`` as "True"."""
+    if type(value) in (str, int, float):
+        return str(value)
+    raise DataError(f"column {column!r}: bad {key!r} value {value!r}")
+
+
 def parse_description(text: str) -> list[ColumnDescriptor]:
     """Parse a JSON description document into column descriptors.
 
     Expected shape: ``{"columns": [{"name", "kind", "classes", "values",
     "short", "full_name"}, ...]}`` where ``short`` and ``full_name`` default
-    to the column name.
+    to the column name. Names, kinds and labels are strings or numbers, read
+    as their text; null, booleans, lists and objects are errors there.
     """
     try:
         doc = json.loads(text)
@@ -140,35 +157,32 @@ def parse_description(text: str) -> list[ColumnDescriptor]:
         if not isinstance(entry, dict):
             raise DataError("each column entry must be an object")
         try:
-            name = str(entry["name"])
-            kind = str(entry["kind"])
-            classes = entry["classes"]
-            # int() would read JSON true as 1 and truncate 2.9 to 2
-            if isinstance(classes, bool) or (isinstance(classes, float) and not classes.is_integer()):
-                raise ValueError(classes)
-            classes = int(classes)
-            raw_values = entry["values"]
+            name, kind, classes, raw_values = itemgetter("name", "kind", "classes", "values")(entry)
         except KeyError as exc:
             raise DataError(f"column entry is missing key {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"column {entry.get('name')!r}: bad 'classes' value") from exc
+        name = _text(name, name, "name")
+        kind = _text(kind, name, "kind")
+        try:
+            classes = _whole(int(classes) if type(classes) is float and classes.is_integer() else classes)
+        except ValueError as exc:
+            raise DataError(f"column {name!r}: bad 'classes' value") from exc
         if not isinstance(raw_values, list):
             raise DataError(f"column {name!r}: 'values' must be a list")
         if kind == CONTINUOUS:
-            try:
-                values = tuple(float(v) for v in raw_values)
+            try:  # float() would read true as 1.0
+                values = tuple(float(None if type(v) is bool else v) for v in raw_values)
             except (TypeError, ValueError) as exc:
                 raise DataError(f"continuous column {name!r}: non-numeric boundary") from exc
         else:
-            values = tuple(str(v) for v in raw_values)
+            values = tuple(_text(v, name, "values") for v in raw_values)
         descriptors.append(
             ColumnDescriptor(
                 name=name,
                 kind=kind,
-                short_name=str(entry.get("short", name)),
+                short_name=_text(entry.get("short", name), name, "short"),
                 class_count=classes,
                 values=values,
-                full_name=str(entry.get("full_name", name)),
+                full_name=_text(entry.get("full_name", name), name, "full_name"),
             )
         )
     validate_descriptors(descriptors)
@@ -511,14 +525,12 @@ def _bitmaps_pure(part: Sequence[int], m: int) -> tuple[int, ...]:
     return tuple(int.from_bytes(column, "little") for column in columns)
 
 
-# str.isspace() characters other than the line breaks "\n" and "\r", ASCII
-# first: numpy's number parser strips them from a field's edges, where
-# ``_plain`` rejects them.
+# str.isspace() characters other than "\n" and "\r": numpy's number parser
+# strips them from a field's edges, where ``_plain`` rejects them.
 _SPACES = (
     "\t\x0b\x0c\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
     "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 )
-_ASCII_SPACES = _SPACES[:8]
 
 
 def _plain_block(lines: Sequence[str]) -> bool:
@@ -528,11 +540,12 @@ def _plain_block(lines: Sequence[str]) -> bool:
     characters than ``csv.field_size_limit()`` (a CSV syntax error), nor
     when every line is blank (numpy warns that there is no data). Each test
     is a search for one character unless that character occurs:
-    two-character searches cost more than the parse."""
+    two-character searches cost more than the parse, and on ASCII text only
+    the ASCII ``_SPACES``, ``\x85`` and ``\xa0`` cost a scan."""
     text = "".join(lines)
     if '"' in text or "\0" in text or not text.strip("\r\n"):
         return False
-    for space in _ASCII_SPACES if text.isascii() else _SPACES:
+    for space in _SPACES:
         if space in text and (
             text.startswith(space)
             or text.endswith(space)
@@ -707,31 +720,16 @@ def _check_header(reader, descriptors: Sequence[ColumnDescriptor]) -> None:
         raise DataError(f"CSV header {header} does not match description columns {expected}")
 
 
-def _read_cells(path, descriptors: Sequence[ColumnDescriptor]) -> Iterator[list]:
-    """The CSV's non-blank rows as ``csv.reader`` reads them, after the
-    header check; a syntax error names its line."""
-    with _open_csv(path) as handle:
-        reader = csv.reader(handle)
-        _check_header(reader, descriptors)
-        with _line_errors(reader):
-            yield from filter(None, reader)
-
-
 def read_table(path, descriptors: Sequence[ColumnDescriptor]) -> Iterator[dict[str, str]]:
-    """Stream CSV rows as dicts keyed by column name, read as
-    ``preprocess_csv`` reads them and laid out as ``csv.DictReader`` lays
-    them out: the header must match the description, blank lines are
-    skipped, a short row's absent cells are ``None``, and a long row's extra
-    cells are listed under the key ``None``, which ``preprocess`` rejects."""
-    names = [d.name for d in descriptors]
-    width = len(names)
-    for cells in _read_cells(path, descriptors):
-        row = dict(zip(names, cells))
-        if len(cells) < width:
-            row.update(dict.fromkeys(names[len(cells) :]))
-        elif len(cells) > width:
-            row[None] = cells[width:]
-        yield row
+    """Stream the CSV's rows as a ``csv.DictReader`` over the checked header
+    yields them, decoded as ``preprocess_csv`` decodes them: a long row's
+    extra cells are under the key ``None``, which ``preprocess`` rejects,
+    and a short row's absent cells are ``None``. A syntax error names its line."""
+    with _open_csv(path) as handle:
+        rows = csv.DictReader(handle, [d.name for d in descriptors])
+        _check_header(rows.reader, descriptors)
+        with _line_errors(rows.reader):  # DictReader.line_num lags a row behind
+            yield from rows
 
 
 def preprocess_csv(db_path, dbd_path, *, skip_missing: bool = False) -> PartitionedDatabase:
@@ -792,17 +790,17 @@ def database_from_dict(doc: dict) -> PartitionedDatabase:
         catalog = PropertyCatalog(
             tuple(
                 Property(
-                    index=int(e["index"]),
+                    index=_whole(e["index"]),
                     name=str(e["name"]),
                     column=str(e["column"]),
-                    category=int(e["category"]),
+                    category=_whole(e["category"]),
                     full_name=str(e["full_name"]),
                 )
                 for e in doc["catalog"]
             )
         )
-        records = tuple(int(r) for r in doc["records"])
-        sizes = tuple(int(n) for n in doc["partition_sizes"])
+        records = tuple(map(_whole, doc["records"]))
+        sizes = tuple(map(_whole, doc["partition_sizes"]))
         labels = tuple(str(v) for v in doc["goal_labels"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed database dump: {exc}") from exc

@@ -170,6 +170,28 @@ class TestParseDescription:
         with pytest.raises(DataError, match="unknown kind"):
             make_descriptors(doc)
 
+    @pytest.mark.parametrize(
+        "col, changes, message",
+        [
+            (1, {"values": ["red", None]}, "column 'color': bad 'values' value None"),
+            (2, {"values": ["no", True]}, "column 'label': bad 'values' value True"),
+            (1, {"values": ["red", {}]}, "column 'color': bad 'values' value {}"),
+            (0, {"short": None}, "column 'temp': bad 'short' value None"),
+            (0, {"name": None}, "column None: bad 'name' value None"),
+            (0, {"kind": None}, "column 'temp': bad 'kind' value None"),
+            (1, {"full_name": ["a"]}, "column 'color': bad 'full_name' value ['a']"),
+            (0, {"values": [True, 20.0]}, "continuous column 'temp': non-numeric boundary"),
+        ],
+        ids=["label-null", "target-true", "label-object", "short", "name", "kind", "full_name", "boundary"],
+    )
+    def test_text_and_boundaries_are_not_stringified(self, col, changes, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            make_descriptors(variant(col=col, **changes))
+
+    def test_number_reads_as_its_text(self):
+        descs = make_descriptors(variant(col=1, name=7, values=[0, 1.5]))
+        assert (descs[1].name, descs[1].values) == ("7", ("0", "1.5"))
+
 
 class TestCatalog:
     def test_layout(self):
@@ -559,6 +581,29 @@ class TestDumpLoad:
         with pytest.raises(DataError, match="duplicate property name 'T0'"):
             load_database(path)
 
+    @pytest.mark.parametrize(
+        "key, index, field, value",
+        [
+            ("records", 0, None, 9.5),
+            ("records", 0, None, " 9 "),
+            ("records", 0, None, "1_0"),
+            ("records", 0, None, "\u0669"),  # an Arabic-Indic 9
+            ("records", 0, None, True),
+            ("partition_sizes", 0, None, 2.5),
+            ("catalog", 0, "index", 0.0),
+            ("catalog", 1, "category", True),
+        ],
+    )
+    def test_load_takes_only_whole_numbers(self, key, index, field, value):
+        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
+        if field is None:
+            doc[key][index] = value
+        else:
+            doc[key][index][field] = value
+        message = f"malformed database dump: not a whole number: {value!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            database_from_dict(json.loads(json.dumps(doc)))
+
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{]")
@@ -696,6 +741,9 @@ class TestCsv:
             message = "row 1: unknown label 'green' in column 'color'"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             preprocess_csv(db, dbd)
+        descriptors = make_descriptors()
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            preprocess(read_table(db, descriptors), descriptors)
         assert main(["preprocess", "--db", str(db), "--dbd", str(dbd)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 
