@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from .datasets import save_tables, synthetic_tables
 from .engine import MiningConfig, Rule, RuleSet, check_threads, mine
@@ -31,7 +31,6 @@ from .preprocess import (
     dump_database,
     preprocess_csv,
     replicate,
-    set_bits,
 )
 
 
@@ -106,14 +105,26 @@ def _add_mining_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _premise_names(code: int, names: list[str]) -> list[str]:
-    """The entries of ``names`` at the premise's set bits, in bit order."""
-    return [names[i] for i in set_bits(code)]
+def _spelled(code: int, names: Sequence[str], sep: str, prefixes: dict[int, str]) -> str:
+    """The names at the premise's set bits, in bit order, joined by ``sep``:
+    its prefix's text (the premise without its top bit) plus one name. A
+    prefix is looked up in ``prefixes``, or spelled and kept there."""
+    if not code:
+        return ""
+    top = code.bit_length() - 1
+    prefix = code ^ 1 << top
+    if prefix not in prefixes:
+        prefixes[prefix] = _spelled(prefix, names, sep, prefixes)
+    return f"{prefixes[prefix]}{sep}{names[top]}" if prefix else names[top]
 
 
-def _rule_head(rule: Rule, names: list[str], goal_labels: Sequence[str]) -> str:
-    premise = ",".join(_premise_names(rule.premise, names))
-    return f"{premise} => {'not ' if rule.negative else ''}{goal_labels[rule.goal]}"
+def _spelled_rules(ruleset: RuleSet, names: Sequence[str], sep: str) -> Iterator[tuple[Rule, str]]:
+    """Each rule, positive groups first, and its premise spelled; a goal's
+    premises grow from each other, so a group spells each prefix once."""
+    for group in ruleset.positive + ruleset.negative:
+        prefixes: dict[int, str] = {}
+        for rule in group:
+            yield rule, _spelled(rule.premise, names, sep, prefixes)
 
 
 def format_rules_table(ruleset: RuleSet, pdb: PartitionedDatabase) -> str:
@@ -122,11 +133,11 @@ def format_rules_table(ruleset: RuleSet, pdb: PartitionedDatabase) -> str:
         f"{'f_g':>6} {'f_all':>6} {'conf':>6} {'lift':>6} {'corr':>7} {'q':>7} final"
     )
     lines = [header, "-" * len(header)]
-    names = pdb.catalog.names()
-    for rule in ruleset.all_positive() + ruleset.all_negative():
+    for rule, premise in _spelled_rules(ruleset, pdb.catalog.names(), ","):
         m = rule.metrics
+        head = f"{premise} => {'not ' if rule.negative else ''}{pdb.goal_labels[rule.goal]}"
         lines.append(
-            f"{_rule_head(rule, names, pdb.goal_labels):<44} {rule.sup_k:>7} {rule.sup:>7} "
+            f"{head:<44} {rule.sup_k:>7} {rule.sup:>7} "
             f"{m.f_g:>6.3f} {m.f_all:>6.3f} {m.confidence:>6.3f} {m.lift:>6.3f} "
             f"{m.correlation:>7.3f} {m.quality:>7.3f} {'yes' if rule.final else 'no'}"
         )
@@ -140,25 +151,12 @@ def format_rules_csv(ruleset: RuleSet, pdb: PartitionedDatabase) -> str:
         ["premise", "goal", "premise_len", "sup_k", "sup",
          "f_g", "f_all", "conf", "lift", "corr", "q", "final", "negative"]
     )
-    names = pdb.catalog.names()
-    for rule in ruleset.all_positive() + ruleset.all_negative():
+    for rule, premise in _spelled_rules(ruleset, pdb.catalog.names(), "+"):
         m = rule.metrics
+        criteria = (m.f_g, m.f_all, m.confidence, m.lift, m.correlation, m.quality)
         writer.writerow(
-            [
-                "+".join(_premise_names(rule.premise, names)),
-                pdb.goal_labels[rule.goal],
-                rule.premise_len,
-                rule.sup_k,
-                rule.sup,
-                f"{m.f_g:.6f}",
-                f"{m.f_all:.6f}",
-                f"{m.confidence:.6f}",
-                f"{m.lift:.6f}",
-                f"{m.correlation:.6f}",
-                f"{m.quality:.6f}",
-                int(rule.final),
-                int(rule.negative),
-            ]
+            [premise, pdb.goal_labels[rule.goal], rule.premise_len, rule.sup_k, rule.sup,
+             *(f"{x:.6f}" for x in criteria), int(rule.final), int(rule.negative)]
         )
     return buffer.getvalue()
 
@@ -181,10 +179,8 @@ def write_mining_json(
     does, which is ``json``'s spelling for every finite float (weights with
     a finite sum keep every quality finite). The criteria are a function of
     the rule's goal and counts, so their text is made once per distinct
-    ``(goal, sup_k, sup)`` in a group and reused. A premise's names are its
-    prefix's (the premise without its top bit), which the search emits
-    earlier in the same goal, plus one more; ``_premise_names`` spells a
-    premise whose prefix was not emitted, as in a hand-built ``RuleSet``.
+    ``(goal, sup_k, sup)`` in a group and reused; so is each prefix's
+    premise text (``_spelled``).
     """
 
     def nested(value) -> str:
@@ -203,8 +199,9 @@ def write_mining_json(
     # correlation in common, so no criteria text serves two groups.
     for group in ruleset.positive + ruleset.negative:
         counted: dict[tuple[int, int, int], str] = {}  # text from "goal" to "q"
-        listed = {0: ""}  # premise -> its names, joined
+        prefixes: dict[int, str] = {}
         for rule in group:
+            premise = _spelled(rule.premise, names, ",\n        ", prefixes)
             key = (rule.goal, rule.sup_k, rule.sup)
             if key not in counted:
                 m = rule.metrics
@@ -219,15 +216,6 @@ def write_mining_json(
                     f'\n      "corr": {m.correlation!r},'
                     f'\n      "q": {m.quality!r},'
                 )
-            code = rule.premise
-            top = code.bit_length() - 1
-            prefix = listed.get(code ^ (1 << top)) if code else None
-            if prefix is None:
-                premise = ",\n        ".join(_premise_names(code, names))
-            else:
-                premise = f"{prefix},\n        {names[top]}" if prefix else names[top]
-            if not rule.final and rule.premise_len != config.max_premise_len:
-                listed[code] = premise  # only a premise the search grows is a prefix
             premise = f"[\n        {premise}\n      ]" if premise else "[]"
             out.write(
                 f"{separator}    {{"
@@ -395,7 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.set_defaults(func=cmd_mine)
 
-    p = sub.add_parser("bench", help="duplication-scaling benchmark")
+    p = sub.add_parser(
+        "bench",
+        help="duplication-scaling benchmark",
+        description="Mine the table written each of --factors times over and check that every "
+        "rule keeps its criteria and scales its counts. The seconds column times mine() there. "
+        "Its search walks the multiset root, the size of the table written once, so what grows "
+        "with the factor is the tally of record codes and the bitmap build, not a scan.",
+    )
     _add_input_args(p)
     _add_mining_args(p)
     p.add_argument("--factors", default="10,100", help="comma-separated duplication factors")

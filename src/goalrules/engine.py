@@ -1,13 +1,15 @@
 """Correlation-driven rule search over a partitioned database.
 
-One pass over the single-property supports gives each goal its candidates
-and its negative rules. Each goal's rules then grow depth-first from its
-candidates: a premise only ever grows by a candidate whose bit sits above
-its top bit, so every premise set is generated exactly once, and each
-extension ANDs one more property bitmap onto the bitmaps of its parent's
-premise (the path bitmaps) instead of recounting the whole premise. The
-walk counts on the table's multiset root (``_Root``): a table written k
-times is walked once, with every count scaled back up by k.
+One pass over the single-property supports gives each goal its candidate
+properties and its negative rules. Each goal's rules then grow depth-first
+from the empty premise: a premise only ever grows by a candidate whose bit
+sits above its top bit, so every premise set is generated exactly once, and
+each extension ANDs one more property bitmap onto the bitmaps of its
+parent's premise (the path bitmaps) instead of recounting the whole premise.
+The walk's first level is the single-property rules, and it is the one place
+where positive rules are made and marked final. The walk counts on the
+table's multiset root (``_Root``): a table written k times is walked once,
+with every count scaled back up by k.
 
 Every decision compares two integer products of a rule's counts with
 constants fixed per goal (``_Bounds``); floats are made only for output.
@@ -149,23 +151,23 @@ def _property_counts(pdb) -> list[list[int]]:
 
 def _single_rules(
     pdb, config: MiningConfig, counts: list[list[int]]
-) -> tuple[list[list[Rule]], list[list[Rule]]]:
-    """One pass over the single-property supports, per goal: the candidates
-    (correlation above ``min_corr``, final flag set) and the negative rules
-    (correlation at or below ``neg_corr``).
+) -> tuple[list[list[int]], list[list[Rule]]]:
+    """One pass over the single-property supports, per goal: the candidates,
+    the indices of the properties whose correlation exceeds ``min_corr``, in
+    ascending order, and the negative rules (correlation at or below
+    ``neg_corr``).
 
     ``counts`` holds each goal's property counts (``_property_counts``).
     Goals with an empty partition — or holding every record — get neither;
-    correlation carries no signal there. A candidate is final when it
-    ``stops`` or no candidate bit sits above its own.
+    correlation carries no signal there.
     """
     total = pdb.total
     sups = [sum(column) for column in zip(*counts)]
-    candidates: list[list[Rule]] = []
+    candidates: list[list[int]] = []
     negative: list[list[Rule]] = []
     for goal, n_k in enumerate(pdb.partition_sizes):
         basis = (n_k, total, config.weights)
-        kept: list[tuple[int, int, int]] = []
+        kept: list[int] = []
         against: list[Rule] = []
         if 0 < n_k < total:
             bounds = _Bounds.of(n_k, total, config)
@@ -173,24 +175,21 @@ def _single_rules(
                 if sup == 0:
                     continue
                 if sup_k * bounds.corr_a > sup * bounds.corr_b:
-                    kept.append((1 << i, sup_k, sup))
+                    kept.append(i)
                 elif sup_k * bounds.neg_a <= sup * bounds.neg_b:
                     against.append(Rule(1 << i, 1, goal, sup_k, sup, basis, final=True, negative=True))
-        top = kept[-1][0] if kept else 0
-        candidates.append(
-            [
-                Rule(code, 1, goal, sup_k, sup, basis, top <= code or bounds.stops(sup_k, sup))
-                for code, sup_k, sup in kept
-            ]
-        )
+        candidates.append(kept)
         negative.append(against)
     return candidates, negative
 
 
 def create_candidates(pdb, config: MiningConfig) -> list[list[Rule]]:
     """Single-property rules whose correlation exceeds ``min_corr``, per goal,
-    in ascending code order."""
-    return _single_rules(pdb, config, _property_counts(pdb))[0]
+    in ascending code order: the first level of ``mine``'s walk, counted on
+    the table itself, a root that needs no tally."""
+    root, first = _Root(1, pdb.bitmaps, pdb.partition_sizes), replace(config, max_premise_len=1)
+    candidates = _single_rules(pdb, config, _property_counts(pdb))[0]
+    return [_grow(goal, group, root, first) for goal, group in enumerate(candidates)]
 
 
 class _Root(NamedTuple):
@@ -236,55 +235,53 @@ class _Root(NamedTuple):
         return self.bitmaps[goal][i], outside
 
 
-def _grow(group: Sequence[Rule], root: _Root, config: MiningConfig) -> list[Rule]:
-    """Every rule of one goal reachable from its candidates ``group``, sorted
-    by premise length, then premise code.
+def _grow(goal: int, candidates: Sequence[int], root: _Root, config: MiningConfig) -> list[Rule]:
+    """Every rule of ``goal`` that grows from the empty premise by its
+    ``candidates`` (ascending property indices), sorted by premise length,
+    then premise code.
 
-    A depth-first walk on an explicit stack. Each entry holds a rule, the
-    AND of its premise's root bitmaps inside the goal and outside it (the
-    path bitmaps, from ``root.pair``) and the index of the next candidate
-    to try; premises grow only by candidates above their top bit, so every
-    premise set is reached once. An extension ANDs the candidate's inside
-    bitmap onto the inside path and counts it, times ``root.g``, as
+    A depth-first walk on an explicit stack of kept premises, from the empty
+    one with the root's all-ones pair. Each entry holds the AND of its
+    premise's root bitmaps inside the goal and outside it (the path bitmaps,
+    from ``root.pair``) and an iterator over the candidates above its top
+    bit, so every premise set is reached once. A try ANDs the candidate's
+    inside bitmap onto the inside path and counts it, times ``root.g``, as
     ``sup_k``; only when that is not 0 does it AND and count the outside
-    pair, which gives ``sup - sup_k``. It is dropped when it has no support
-    in the goal or its correlation is below ``min_corr``, and walked
-    further unless final or at ``max_premise_len``; both tests are the
-    goal's integer ``_Bounds`` on the full table's counts, and no float is
-    made. Above the seeded candidates, whose path bitmaps are their own,
-    the stack holds only the current path.
+    pair, which gives ``sup - sup_k``. It is dropped at no support in the
+    goal or a correlation below ``min_corr``; otherwise it is a rule, final
+    when it holds the top candidate or ``stops``, and walked at once unless
+    final or at ``max_premise_len``. Its parent's tries resume after it, so
+    the stack holds only the current path. Every test is on the goal's
+    integer ``_Bounds`` with the full table's counts; no float is made.
     """
-    if not group:
-        return []
-    goal, basis = group[0].goal, group[0].basis
+    g, sizes, n = root.g, root.sizes, len(candidates)
+    basis = (sizes[goal] * g, sum(sizes) * g, config.weights)
     bounds = _Bounds.of(basis[0], basis[1], config)
     corr_a, corr_b, stops = bounds.corr_a, bounds.corr_b, bounds.stops
-    top = group[-1].premise
-    limit = config.max_premise_len or len(group)
-    g = root.g
-    columns = [root.pair(goal, c.premise.bit_length() - 1) for c in group]
-    rules = list(group)
-    stack = [(c, *columns[i], i + 1) for i, c in enumerate(group) if not c.final and limit > 1]
+    limit = config.max_premise_len or n
+    columns = [root.pair(goal, i) for i in candidates]
+    rules: list[Rule] = []
+    stack = [(0, 0, (1 << sizes[goal]) - 1, (1 << sum(sizes) - sizes[goal]) - 1, iter(range(n)))]
     while stack:
-        rule, inside, outside, j = stack.pop()
-        if j == len(group):
-            continue
-        stack.append((rule, inside, outside, j + 1))  # its next candidate, after this subtree
-        bits_in, bits_out = columns[j]
-        grown_in = inside & bits_in
-        sup_k = grown_in.bit_count() * g
-        if sup_k == 0:
-            continue
-        grown_out = outside & bits_out
-        sup = sup_k + grown_out.bit_count() * g
-        if sup_k * corr_a < sup * corr_b:  # corr < min_corr
-            continue
-        premise = rule.premise | group[j].premise
-        final = top <= premise or stops(sup_k, sup)
-        child = Rule(premise, rule.premise_len + 1, goal, sup_k, sup, basis, final)
-        rules.append(child)
-        if not final and child.premise_len < limit:
-            stack.append((child, grown_in, grown_out, j + 1))
+        premise, length, inside, outside, tries = stack[-1]
+        for j in tries:
+            bits_in, bits_out = columns[j]
+            grown_in = inside & bits_in
+            sup_k = grown_in.bit_count() * g
+            if sup_k == 0:
+                continue
+            grown_out = outside & bits_out
+            sup = sup_k + grown_out.bit_count() * g
+            if sup_k * corr_a < sup * corr_b:  # corr < min_corr
+                continue
+            child = premise | 1 << candidates[j]
+            final = j == n - 1 or stops(sup_k, sup)
+            rules.append(Rule(child, length + 1, goal, sup_k, sup, basis, final))
+            if not final and length + 1 < limit:
+                stack.append((child, length + 1, grown_in, grown_out, iter(range(j + 1, n))))
+                break  # walk the child now; this premise's tries resume after it
+        else:
+            stack.pop()  # every try made
     rules.sort(key=attrgetter("premise_len", "premise"))
     return rules
 
@@ -299,12 +296,12 @@ def mine(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> RuleSe
     """Mine the positive and negative rules of every goal class.
 
     One single-property pass (``_single_rules``) gives each goal its
-    negative rules and its candidates. The candidates seed a depth-first
-    walk (``_grow``) that extends a premise by one candidate bit above its
-    top bit at a time, ANDing that property's bitmaps onto the premise's
-    path bitmaps over the table's multiset root (``_Root``). ``threads`` is
-    accepted for compatibility and must be >= 1; the search runs
-    sequentially, so results are identical for any value.
+    negative rules and its candidate properties. A depth-first walk
+    (``_grow``) then grows each goal's rules from the empty premise, one
+    candidate bit above the top bit at a time, ANDing that property's
+    bitmaps onto the premise's path bitmaps over the table's multiset root
+    (``_Root``). ``threads`` is accepted for compatibility and must be >= 1;
+    the search runs sequentially, so results are identical for any value.
     """
     check_threads(threads)
     if config is None:
@@ -313,7 +310,7 @@ def mine(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> RuleSe
     candidates, negative = _single_rules(pdb, config, counts)
     root = _Root.of(pdb, counts)
     return RuleSet(
-        tuple(tuple(_grow(group, root, config)) for group in candidates),
+        tuple(tuple(_grow(goal, group, root, config)) for goal, group in enumerate(candidates)),
         tuple(map(tuple, negative)),
     )
 

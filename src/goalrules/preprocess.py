@@ -130,12 +130,12 @@ def _whole(value) -> int:
     raise ValueError(f"not a whole number: {value!r}")
 
 
-def _text(value, column, key: str) -> str:
-    """A description's text: a JSON string, or a number read as its text.
-    ``str()`` would also read null as "None" and ``true`` as "True"."""
+def _text(value, owner: str, key: str) -> str:
+    """JSON text in a description or dump: a string, or a number read as its
+    text. ``str()`` would also read null as "None" and ``true`` as "True"."""
     if type(value) in (str, int, float):
         return str(value)
-    raise DataError(f"column {column!r}: bad {key!r} value {value!r}")
+    raise DataError(f"{owner}: bad {key!r} value {value!r}")
 
 
 def parse_description(text: str) -> list[ColumnDescriptor]:
@@ -160,8 +160,8 @@ def parse_description(text: str) -> list[ColumnDescriptor]:
             name, kind, classes, raw_values = itemgetter("name", "kind", "classes", "values")(entry)
         except KeyError as exc:
             raise DataError(f"column entry is missing key {exc.args[0]!r}") from exc
-        name = _text(name, name, "name")
-        kind = _text(kind, name, "kind")
+        name = _text(name, f"column {name!r}", "name")
+        kind = _text(kind, f"column {name!r}", "kind")
         try:
             classes = _whole(int(classes) if type(classes) is float and classes.is_integer() else classes)
         except ValueError as exc:
@@ -174,15 +174,15 @@ def parse_description(text: str) -> list[ColumnDescriptor]:
             except (TypeError, ValueError) as exc:
                 raise DataError(f"continuous column {name!r}: non-numeric boundary") from exc
         else:
-            values = tuple(_text(v, name, "values") for v in raw_values)
+            values = tuple(_text(v, f"column {name!r}", "values") for v in raw_values)
         descriptors.append(
             ColumnDescriptor(
                 name=name,
                 kind=kind,
-                short_name=_text(entry.get("short", name), name, "short"),
+                short_name=_text(entry.get("short", name), f"column {name!r}", "short"),
                 class_count=classes,
                 values=values,
-                full_name=_text(entry.get("full_name", name), name, "full_name"),
+                full_name=_text(entry.get("full_name", name), f"column {name!r}", "full_name"),
             )
         )
     validate_descriptors(descriptors)
@@ -786,24 +786,25 @@ def database_to_dict(pdb: PartitionedDatabase) -> dict:
 
 
 def database_from_dict(doc: dict) -> PartitionedDatabase:
+    dump = "malformed database dump"
     try:
         catalog = PropertyCatalog(
             tuple(
                 Property(
                     index=_whole(e["index"]),
-                    name=str(e["name"]),
-                    column=str(e["column"]),
+                    name=_text(e["name"], f"{dump}: property {i}", "name"),
+                    column=_text(e["column"], f"{dump}: property {i}", "column"),
                     category=_whole(e["category"]),
-                    full_name=str(e["full_name"]),
+                    full_name=_text(e["full_name"], f"{dump}: property {i}", "full_name"),
                 )
-                for e in doc["catalog"]
+                for i, e in enumerate(doc["catalog"])
             )
         )
         records = tuple(map(_whole, doc["records"]))
         sizes = tuple(map(_whole, doc["partition_sizes"]))
-        labels = tuple(str(v) for v in doc["goal_labels"])
+        labels = tuple(_text(v, dump, "goal_labels") for v in doc["goal_labels"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed database dump: {exc}") from exc
+        raise DataError(f"{dump}: {exc}") from exc
     if any(n < 0 for n in sizes):
         raise DataError("partition sizes must be non-negative")
     if sum(sizes) != len(records):

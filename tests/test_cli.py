@@ -28,9 +28,10 @@ from goalrules import (
     preprocess_csv,
 )
 from goalrules import engine
-from goalrules.cli import RunReport, main, mining_output_json
+from goalrules.cli import RunReport, format_rules_csv, format_rules_table, main, mining_output_json
 from goalrules.datasets import save_tables, synthetic_tables
 from goalrules.metrics import CriteriaWeights, support
+from goalrules.preprocess import set_bits
 
 DESC = {
     "columns": [
@@ -420,6 +421,36 @@ class TestJsonEmitter:
         text = mining_output_json(ruleset, pdb, config, report)
         assert text == reference_json(ruleset, pdb, config, report)
         assert json.loads(text)["rules"][4]["premise"] == ["X0", "F1"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_every_format_spells_the_set_bits(self, fmt):
+        """Each format's premise is the names at its set bits, in bit order,
+        whichever of its prefixes the rule set holds: 0b1010 comes before
+        its prefix 0b0010, 0b1001's prefix 0b0001 is no rule, 0 is the empty
+        premise, and the last two premises reach past bit 63."""
+        premises = (0b1010, 0b0010, 0b1010, 0, 0b1001, 1 << 66 | 1 << 65 | 1, 1 << 64 | 0b10)
+        pdb = build_pdb([[*filter(None, premises), (1 << 67) - 1], [1 << 69, 0b100]], 70)
+        config = MiningConfig()
+        basis = (pdb.partition_sizes[0], pdb.total, config.weights)
+
+        def rule(premise, negative=False):
+            counts = support(premise, pdb)
+            return Rule(premise, premise.bit_count(), 0, counts[0], sum(counts), basis, False, negative)
+
+        ruleset = RuleSet((tuple(map(rule, premises)), ()), ((rule(1 << 65, True),), ()))
+        names = pdb.catalog.names()
+        expected = [[names[i] for i in set_bits(p)] for p in (*premises, 1 << 65)]
+        if fmt == "json":
+            _, report = mine_run(pdb, config, negative=True)
+            text = mining_output_json(ruleset, pdb, config, report)
+            spelled = [r["premise"] for r in json.loads(text)["rules"]]
+        elif fmt == "csv":
+            rows = list(csv.reader(io.StringIO(format_rules_csv(ruleset, pdb))))[1:]
+            spelled = [row[0].split("+") if row[0] else [] for row in rows]
+        else:
+            heads = [line.split(" => ")[0] for line in format_rules_table(ruleset, pdb).splitlines()[2:]]
+            spelled = [head.split(",") if head else [] for head in heads]
+        assert spelled == expected
 
     @settings(max_examples=60, deadline=None)
     @given(

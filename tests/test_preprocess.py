@@ -9,7 +9,7 @@ import warnings
 from array import array
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from goalrules import (
@@ -38,8 +38,9 @@ from goalrules.preprocess import (
     database_from_dict,
     database_to_dict,
     replicate,
+    set_bits,
 )
-from goalrules.cli import _premise_names, main
+from goalrules.cli import main
 from goalrules.datasets import save_tables, synthetic_tables
 
 from conftest import assert_rulesets_equal, generic_catalog
@@ -406,7 +407,7 @@ class TestPreprocess:
                 descs,
                 catalog,
             )
-            assert _premise_names(code, catalog.names()) == [f"T{t}", f"C{c}"]
+            assert [catalog[i].name for i in set_bits(code)] == [f"T{t}", f"C{c}"]
             assert goal == y
 
 
@@ -603,6 +604,37 @@ class TestDumpLoad:
         message = f"malformed database dump: not a whole number: {value!r}"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             database_from_dict(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize(
+        "key, index, field, value",
+        [
+            ("goal_labels", 0, None, None),
+            ("goal_labels", 1, None, True),
+            ("catalog", 0, "name", None),
+            ("catalog", 1, "name", ["T1"]),
+            ("catalog", 2, "column", None),
+            ("catalog", 3, "column", {}),
+            ("catalog", 4, "full_name", False),
+        ],
+    )
+    def test_load_takes_only_text(self, key, index, field, value):
+        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
+        if field is None:
+            doc[key][index] = value
+            message = f"malformed database dump: bad {key!r} value {value!r}"
+        else:
+            doc[key][index][field] = value
+            message = f"malformed database dump: property {index}: bad {field!r} value {value!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            database_from_dict(json.loads(json.dumps(doc)))
+
+    def test_load_reads_a_number_as_its_text(self):
+        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
+        doc["goal_labels"][1] = 7
+        doc["catalog"][2]["full_name"] = 2.5
+        pdb = database_from_dict(doc)
+        assert pdb.goal_labels == ("no", "7")
+        assert pdb.catalog[2].full_name == "2.5"
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -1037,10 +1069,15 @@ class TestBlockReader:
     ``csv.reader``; either way a table reads as ``preprocess(read_table())``
     reads it."""
 
+    # No shrink phase: a hostile table takes minutes to shrink, so a failure
+    # is reported with the first failing example as it was drawn.
     @pytest.mark.parametrize("numpy_absent", [False, True], ids=["numpy", "pure_scan"])
     @given(data=hostile_csv(), block=st.sampled_from([40, 300, 4_000, 1 << 16]))
     @settings(
-        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+        phases=[Phase.explicit, Phase.reuse, Phase.generate],
     )
     def test_matches_the_cell_path(
         self, request, tmp_path_factory, monkeypatch, field_limit, numpy_absent, data, block
