@@ -1,11 +1,11 @@
-"""Command-line interface: encode tables, mine rules, benchmark scaling,
-and generate synthetic demo data.
+"""Command-line interface: encode tables, mine rules, and generate synthetic
+demo data.
 
-Exit codes: 0 success, 1 ``bench`` invariant broken, 2 usage or configuration
-error, or standard output closed before the run, 3 data error, 141 standard
-output closed early by its reader. With standard error closed, what would
-go there (an error line, or the report of ``mine --format csv`` and of
-``preprocess`` without ``--out``) is dropped and the status kept.
+Exit codes: 0 success, 2 usage or configuration error, or standard output
+closed before the run, 3 data error, 141 standard output closed early by
+its reader. With standard error closed, what would go there (an error line,
+or the report of ``mine --format csv`` and of ``preprocess`` without
+``--out``) is dropped and the status kept.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .preprocess import (
     database_to_dict,
     dump_database,
     preprocess_csv,
-    replicate,
 )
 
 
@@ -93,29 +92,25 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_mining_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-corr", type=float, default=0.35)
-    parser.add_argument("--corr-stop", type=float, default=1.0)
-    parser.add_argument("--min-freq", type=float, default=0.01, help="overall frequency floor")
-    parser.add_argument("--neg-corr", type=float, default=-0.35)
-    parser.add_argument("--weights", default=None, help="four comma-separated criteria weights")
-    parser.add_argument("--max-premise-len", type=int, default=None)
-    parser.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; mining is sequential"
-    )
-
-
 def _spelled(code: int, names: Sequence[str], sep: str, prefixes: dict[int, str]) -> str:
-    """The names at the premise's set bits, in bit order, joined by ``sep``:
-    its prefix's text (the premise without its top bit) plus one name. A
-    prefix is looked up in ``prefixes``, or spelled and kept there."""
+    """The names at the premise's set bits, in bit order, joined by ``sep``.
+    ``prefixes`` holds the text of each prefix (a premise without its top
+    bit) spelled so far, each name followed by ``sep``; a missing prefix is
+    spelled from its longest prefix there, and kept with those between."""
     if not code:
         return ""
     top = code.bit_length() - 1
     prefix = code ^ 1 << top
-    if prefix not in prefixes:
-        prefixes[prefix] = _spelled(prefix, names, sep, prefixes)
-    return f"{prefixes[prefix]}{sep}{names[top]}" if prefix else names[top]
+    text = prefixes.get(prefix)
+    if text is None:
+        missing = []  # longest first
+        while prefix and prefix not in prefixes:
+            missing.append(prefix)
+            prefix ^= 1 << prefix.bit_length() - 1
+        text = prefixes.setdefault(prefix, "")
+        for prefix in reversed(missing):
+            text = prefixes[prefix] = f"{text}{names[prefix.bit_length() - 1]}{sep}"
+    return text + names[top]
 
 
 def _spelled_rules(ruleset: RuleSet, names: Sequence[str], sep: str) -> Iterator[tuple[Rule, str]]:
@@ -307,46 +302,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    try:
-        factors = [int(f) for f in args.factors.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"--factors expects comma-separated integers, got {args.factors!r}") from exc
-    if not factors or any(f < 1 for f in factors):
-        raise ConfigError("--factors expects positive integers")
-    base = preprocess_csv(args.db, args.dbd, skip_missing=args.skip_missing)
-    base_rules = mine(base, config, threads=args.threads)
-
-    def criteria_view(ruleset: RuleSet) -> list[tuple]:
-        return [
-            (r.goal, r.premise, r.metrics, r.final) for r in ruleset.all_positive()
-        ]
-
-    base_view = criteria_view(base_rules)
-    print(f"{'factor':>7} {'records':>9} {'seconds':>8} {'rules':>6} invariant")
-    ok = True
-    for factor in factors:
-        scaled = replicate(base, factor)
-        started = time.perf_counter()
-        ruleset = mine(scaled, config, threads=args.threads)
-        seconds = time.perf_counter() - started
-        counts_scaled = all(
-            r.sup_k == b.sup_k * factor and r.sup == b.sup * factor
-            for r, b in zip(ruleset.all_positive(), base_rules.all_positive())
-        )
-        invariant = criteria_view(ruleset) == base_view and counts_scaled
-        ok = ok and invariant
-        print(
-            f"{factor:>7} {scaled.total:>9} {seconds:>8.3f} "
-            f"{len(ruleset.all_positive()):>6} {'yes' if invariant else 'NO'}"
-        )
-    if not ok:
-        _to_stderr("rule criteria changed under duplication")
-        return 1
-    return 0
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     try:
         rows, description = synthetic_tables(
@@ -359,7 +314,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    save_tables(rows, description, args.out_db, args.out_dbd)
+    try:
+        save_tables(rows, description, args.out_db, args.out_dbd)
+    except OSError as exc:  # a failed write, unlike a failed open, names no file
+        path = exc.filename or f"{args.out_db} or {args.out_dbd}"
+        raise DataError(f"cannot write {path}: {exc.strerror}") from exc
     print(f"wrote {len(rows)} rows to {args.out_db} and description to {args.out_dbd}")
     return 0
 
@@ -378,23 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="mine rules from a table")
     _add_input_args(p)
-    _add_mining_args(p)
+    p.add_argument("--min-corr", type=float, default=0.35)
+    p.add_argument("--corr-stop", type=float, default=1.0)
+    p.add_argument("--min-freq", type=float, default=0.01, help="overall frequency floor")
+    p.add_argument("--neg-corr", type=float, default=-0.35)
+    p.add_argument("--weights", default=None, help="four comma-separated criteria weights")
+    p.add_argument("--max-premise-len", type=int, default=None)
+    p.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; mining is sequential"
+    )
     p.add_argument("--negative", action="store_true", help="also report negative rules")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.set_defaults(func=cmd_mine)
-
-    p = sub.add_parser(
-        "bench",
-        help="duplication-scaling benchmark",
-        description="Mine the table written each of --factors times over and check that every "
-        "rule keeps its criteria and scales its counts. The seconds column times mine() there. "
-        "Its search walks the multiset root, the size of the table written once, so what grows "
-        "with the factor is the tally of record codes and the bitmap build, not a scan.",
-    )
-    _add_input_args(p)
-    _add_mining_args(p)
-    p.add_argument("--factors", default="10,100", help="comma-separated duplication factors")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", help="generate a synthetic table and description")
     p.add_argument("--rows", type=int, default=300)

@@ -805,6 +805,9 @@ def database_from_dict(doc: dict) -> PartitionedDatabase:
         labels = tuple(_text(v, dump, "goal_labels") for v in doc["goal_labels"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{dump}: {exc}") from exc
+    if len(set(labels)) != len(labels):
+        dupe = next(v for v in labels if labels.count(v) > 1)
+        raise DataError(f"{dump}: duplicate goal label {dupe!r}")
     if any(n < 0 for n in sizes):
         raise DataError("partition sizes must be non-negative")
     if sum(sizes) != len(records):

@@ -5,12 +5,14 @@
 # either test run does.
 #
 # With a revision, as in `sh tests/check.sh HEAD`, it then also runs
-# `goalrules mine` from that revision's src/ and from the working tree's on
-# the same small `goalrules synth` tables: every format, with and without
-# --negative. One table has more than 64 properties and is mined with
-# --max-premise-len 2, and one has its data lines written 3 times. It prints
-# `same` or `DIFF` per output, with lines holding `_seconds` left out, and
-# exits non-zero on any DIFF.
+# `goalrules preprocess` (without --out, so the dump goes to stdout and the
+# report to stderr) and `goalrules mine` from that revision's src/ and from
+# the working tree's on the same small `goalrules synth` tables; `mine` in
+# every format, with and without --negative. One table has more than 64
+# properties and is mined with --max-premise-len 2, and one has its data
+# lines written 3 times. It prints `same` or `DIFF` per output (stdout,
+# stderr and exit status), with lines holding `_seconds` left out, and exits
+# non-zero on any DIFF.
 cd "$(dirname "$0")/.." || exit 1
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 with_numpy=$?
@@ -33,26 +35,29 @@ synth base --rows 200 --seed 3 || exit 1
 { head -n 1 "$tmp/base.csv"; for _ in 1 2 3; do tail -n +2 "$tmp/base.csv"; done; } >"$tmp/tripled.csv"
 cp "$tmp/base.dbd.json" "$tmp/tripled.dbd.json"
 
-mine() {  # mine <src dir> <table> <output file> <arguments...>
-    src=$1 table=$2 out=$3
-    shift 3
-    PYTHONPATH=$src python -m goalrules.cli mine --db "$tmp/$table.csv" --dbd "$tmp/$table.dbd.json" "$@" \
+run() {  # run <src dir> <output file> <command> <table> <arguments...>
+    src=$1 out=$2 command=$3 table=$4
+    shift 4
+    PYTHONPATH=$src python -m goalrules.cli "$command" --db "$tmp/$table.csv" --dbd "$tmp/$table.dbd.json" "$@" \
         >"$out" 2>"$out.err"
     echo "exit $?" >>"$out.err"
     cat "$out.err" >>"$out"
     grep -v _seconds "$out" >"$out.kept"
 }
+compare() {  # compare <command> <table> <arguments...>
+    run "$tmp/rev/src" "$tmp/before" "$@"
+    run src "$tmp/after" "$@"
+    if cmp -s "$tmp/before.kept" "$tmp/after.kept"; then verdict=same; else verdict=DIFF; status=1; fi
+    echo "$verdict: $*"
+}
 status=0
 for table in small wide tripled; do
+    compare preprocess "$table"
     [ "$table" = wide ] && args="--max-premise-len 2" || args=""
     for format in json csv table; do
         for negative in "" --negative; do
-            # shellcheck disable=SC2086  # $args and $negative are words or nothing
-            mine "$tmp/rev/src" "$table" "$tmp/before" --format "$format" $negative $args
-            # shellcheck disable=SC2086
-            mine src "$table" "$tmp/after" --format "$format" $negative $args
-            if cmp -s "$tmp/before.kept" "$tmp/after.kept"; then verdict=same; else verdict=DIFF; status=1; fi
-            echo "$verdict: mine $table --format $format $negative $args"
+            # shellcheck disable=SC2086  # $negative and $args are words or nothing
+            compare mine "$table" --format "$format" $negative $args
         done
     done
 done

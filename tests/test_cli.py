@@ -120,7 +120,7 @@ class TestPreprocessCommand:
             err = capsys.readouterr().err
             assert err == "error: row 41: 4 cells, but the header has 3 columns\n"
 
-    @pytest.mark.parametrize("command", ["preprocess", "mine", "bench"])
+    @pytest.mark.parametrize("command", ["preprocess", "mine"])
     def test_missing_file_is_data_error(self, table, tmp_path, capsys, command):
         db, dbd = table
         missing = str(tmp_path / "nope.csv")
@@ -273,7 +273,7 @@ class TestMineCommand:
         assert main(["mine", "--db", db, "--dbd", dbd, "--threads", "0"]) == 2
         assert "thread count" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["mine", "bench"])
+    @pytest.mark.parametrize("command", ["mine"])
     def test_threads_checked_before_reading(self, tmp_path, capsys, command):
         missing = str(tmp_path / "nope.csv")
         assert main([command, "--db", missing, "--dbd", missing, "--threads", "0"]) == 2
@@ -427,9 +427,13 @@ class TestJsonEmitter:
         """Each format's premise is the names at its set bits, in bit order,
         whichever of its prefixes the rule set holds: 0b1010 comes before
         its prefix 0b0010, 0b1001's prefix 0b0001 is no rule, 0 is the empty
-        premise, and the last two premises reach past bit 63."""
-        premises = (0b1010, 0b0010, 0b1010, 0, 0b1001, 1 << 66 | 1 << 65 | 1, 1 << 64 | 0b10)
-        pdb = build_pdb([[*filter(None, premises), (1 << 67) - 1], [1 << 69, 0b100]], 70)
+        premise, the next two premises reach past bit 63, and the last holds
+        every one of 1,200 properties, more prefixes than the interpreter's
+        default recursion limit."""
+        premises = (
+            0b1010, 0b0010, 0b1010, 0, 0b1001, 1 << 66 | 1 << 65 | 1, 1 << 64 | 0b10, (1 << 1200) - 1
+        )
+        pdb = build_pdb([[*filter(None, premises), (1 << 67) - 1], [1 << 69, 0b100]], 1200)
         config = MiningConfig()
         basis = (pdb.partition_sizes[0], pdb.total, config.weights)
 
@@ -493,22 +497,6 @@ class TestJsonEmitter:
         assert streamed == mining_output_json(ruleset, pdb, config, report).encode()
 
 
-class TestBenchCommand:
-    def test_reports_and_verifies_invariance(self, table, capsys):
-        db, dbd = table
-        assert main(["bench", "--db", db, "--dbd", dbd, "--factors", "2,5"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 3  # header + one line per factor
-        assert lines[1].split()[0] == "2"
-        assert lines[2].split()[0] == "5"
-        assert all(line.endswith("yes") for line in lines[1:])
-
-    def test_bad_factors_are_config_errors(self, table, capsys):
-        db, dbd = table
-        assert main(["bench", "--db", db, "--dbd", dbd, "--factors", "2,x"]) == 2
-        assert main(["bench", "--db", db, "--dbd", dbd, "--factors", "0"]) == 2
-
-
 class TestSynthCommand:
     def test_generated_table_mines_cleanly(self, tmp_path, capsys):
         db = tmp_path / "s.csv"
@@ -538,6 +526,22 @@ class TestSynthCommand:
         dbd = tmp_path / "s.dbd.json"
         code = main(["synth", "--rows", "0", "--out-db", str(db), "--out-dbd", str(dbd)])
         assert code == 2
+
+    @pytest.mark.parametrize("unwritable", ["--out-db", "--out-dbd"])
+    def test_unwritable_path_is_data_error(self, tmp_path, capsys, unwritable):
+        db, dbd = str(tmp_path / "s.csv"), str(tmp_path / "s.dbd.json")
+        argv = ["synth", "--rows", "30", "--out-db", db, "--out-dbd", dbd]
+        argv[argv.index(unwritable) + 1] = missing = str(tmp_path / "nope" / "x")
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {missing}: No such file or directory\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_names_both_paths(self, tmp_path, capsys):
+        db = str(tmp_path / "s.csv")
+        assert main(["synth", "--rows", "30", "--out-db", db, "--out-dbd", "/dev/full"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {db} or /dev/full: No space left on device\n"
 
 
 def _without_timings(out: bytes) -> list[bytes]:

@@ -628,6 +628,14 @@ class TestDumpLoad:
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             database_from_dict(json.loads(json.dumps(doc)))
 
+    @pytest.mark.parametrize("labels", [["no", "no"], ["7", 7]], ids=["text", "text_and_number"])
+    def test_load_rejects_a_repeated_goal_label(self, labels):
+        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
+        doc["goal_labels"] = labels
+        message = f"malformed database dump: duplicate goal label {str(labels[0])!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            database_from_dict(doc)
+
     def test_load_reads_a_number_as_its_text(self):
         doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
         doc["goal_labels"][1] = 7
