@@ -303,6 +303,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if os.path.realpath(args.out_db) == os.path.realpath(args.out_dbd):
+        raise ConfigError(f"--out-db and --out-dbd name the same file: {args.out_db}")
     try:
         rows, description = synthetic_tables(
             rows=args.rows,

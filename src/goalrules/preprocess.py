@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -312,14 +313,16 @@ def _plain(text: str) -> bool:
 
 
 def _encode(cells: Sequence, columns: Sequence[tuple]) -> tuple[int, int]:
-    """Encode one row, given as its cells in column order. A row with more
-    cells than columns is an error; the cells a short row lacks are missing."""
+    """Encode one row of text cells (or ``None``), in column order. A row with
+    more cells than columns is an error; the cells a short row lacks are missing."""
     if len(cells) > len(columns):
         raise DataError(f"{len(cells)} cells, but the header has {len(columns)} columns")
     code = 0
     goal = -1
     for raw, (name, bounds, labels, codes) in zip_longest(cells, columns):
-        if raw is None or raw == "":
+        if raw is not None and not isinstance(raw, str):
+            raise DataError(f"non-text value {raw!r} in column {name!r}")
+        if not raw:
             raise MissingValueError(f"missing value in column {name!r}")
         if bounds is not None:
             try:
@@ -333,10 +336,9 @@ def _encode(cells: Sequence, columns: Sequence[tuple]) -> tuple[int, int]:
             # a value equal to a boundary belongs to the bin above it
             category = bisect_right(bounds, value)
         else:
-            label = str(raw)
-            category = labels.get(label)
+            category = labels.get(raw)
             if category is None:
-                raise DataError(f"unknown label {label!r} in column {name!r}")
+                raise DataError(f"unknown label {raw!r} in column {name!r}")
         if codes is None:
             goal = category
         else:
@@ -488,9 +490,7 @@ class PartitionedDatabase:
     def bitmaps(self) -> tuple[tuple[int, ...], ...]:
         """Vertical layout: ``bitmaps[k][i]`` has bit j set when record j of
         goal k has property i. Built on first use, from ``partitions``."""
-        build = _bitmaps_numpy if _np is not None else _bitmaps_pure
-        m = len(self.catalog)
-        return tuple(build(part, m) for part in self.partitions)
+        return tuple(_bitmaps(part, len(self.catalog)) for part in self.partitions)
 
 
 def set_bits(code: int) -> Iterator[int]:
@@ -501,28 +501,41 @@ def set_bits(code: int) -> Iterator[int]:
         code ^= low
 
 
-def _bitmaps_numpy(part: Records, m: int) -> tuple[int, ...]:
-    """One goal's property bitmaps, read in place from its packed words as
-    an (n, 8L) matrix of bytes, the words made little-endian (a copy only on
-    a big-endian machine): property i is bit i % 8 of byte column i // 8,
-    masked and packed; no rows x properties matrix."""
-    words = _np.frombuffer(part.words, dtype=_np.uint64).astype("<u8", copy=False)
-    rows = words.view(_np.uint8).reshape(len(part), 8 * part.width)
-    return tuple(
-        int.from_bytes(_np.packbits(rows[:, i >> 3] & (1 << (i & 7)), bitorder="little"), "little")
-        for i in range(m)
-    )
+# Records per slice of ``_bitmaps``, a multiple of 8. On the 442,000-record
+# tall_narrow table: 18.4 ms, 1.89 MB traced peak (1.66 MB of bitmaps); 2**16,
+# 24.6 ms, 2.40 MB; whole goals, 21.5 ms, 3.28 MB (medians of 7, 2-vCPU host).
+_SLICE = 1 << 14
+
+# The exchange steps of an 8x8 bit transpose (Warren, Hacker's Delight, 7-3).
+_EXCHANGES = tuple(
+    (shift, int.from_bytes(mask.to_bytes(8, "little") * (_SLICE // 8), "little"))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
 
 
-def _bitmaps_pure(part: Sequence[int], m: int) -> tuple[int, ...]:
-    """Same result as ``_bitmaps_numpy``, set bit by set bit."""
-    columns = [bytearray((len(part) + 7) // 8) for _ in range(m)]
-    in_catalog = (1 << m) - 1
-    for j, code in enumerate(part):
-        byte, mask = j >> 3, 1 << (j & 7)
-        for i in set_bits(code & in_catalog):
-            columns[i][byte] |= mask
-    return tuple(int.from_bytes(column, "little") for column in columns)
+def _bitmaps(part: Records, m: int) -> tuple[int, ...]:
+    """One goal's property bitmaps, 8 properties at a time. Read as
+    little-endian bytes (a swapped copy on a big-endian machine), byte c of
+    each record in a slice, as one int, is a run of 64-bit words of 8 records
+    x properties 8c..8c+7; transposed, byte k of a word packs property 8c+k."""
+    words = part.words
+    if sys.byteorder == "big":
+        words = array("Q", words)
+        words.byteswap()
+    view, stride = memoryview(words).cast("B"), 8 * part.width
+    bitmaps = []
+    for c in range(-(-m // 8)):
+        column = bytearray()
+        for start in range(0, len(view), _SLICE * stride):
+            # copied first: a strided memoryview reads about 4 times slower
+            data = view[start : start + _SLICE * stride].tobytes()[c::stride]
+            x = int.from_bytes(data, "little")
+            for shift, mask in _EXCHANGES:
+                t = (x ^ x >> shift) & mask
+                x ^= t ^ t << shift
+            column += x.to_bytes((len(data) + 7) // 8 * 8, "little")
+        bitmaps += (int.from_bytes(column[k::8], "little") for k in range(8))
+    return tuple(bitmaps[:m])
 
 
 # str.isspace() characters other than "\n" and "\r": numpy's number parser

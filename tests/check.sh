@@ -10,9 +10,10 @@
 # the working tree's on the same small `goalrules synth` tables; `mine` in
 # every format, with and without --negative. One table has more than 64
 # properties and is mined with --max-premise-len 2, and one has its data
-# lines written 3 times. It prints `same` or `DIFF` per output (stdout,
-# stderr and exit status), with lines holding `_seconds` left out, and exits
-# non-zero on any DIFF.
+# lines written 3 times. The working tree runs twice, with numpy and with
+# numpy blocked, and each run is compared with the revision's. It prints
+# `same` or `DIFF` per comparison (stdout, stderr and exit status), with
+# lines holding `_seconds` left out, and exits non-zero on any DIFF.
 cd "$(dirname "$0")/.." || exit 1
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 with_numpy=$?
@@ -46,9 +47,12 @@ run() {  # run <src dir> <output file> <command> <table> <arguments...>
 }
 compare() {  # compare <command> <table> <arguments...>
     run "$tmp/rev/src" "$tmp/before" "$@"
-    run src "$tmp/after" "$@"
-    if cmp -s "$tmp/before.kept" "$tmp/after.kept"; then verdict=same; else verdict=DIFF; status=1; fi
-    echo "$verdict: $*"
+    for pythonpath in src tests/without_numpy:src; do
+        run "$pythonpath" "$tmp/after" "$@"
+        if cmp -s "$tmp/before.kept" "$tmp/after.kept"; then verdict=same; else verdict=DIFF; status=1; fi
+        [ "$pythonpath" = src ] && numpy="" || numpy=" without numpy"
+        echo "$verdict$numpy: $*"
+    done
 }
 status=0
 for table in small wide tripled; do

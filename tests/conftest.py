@@ -69,9 +69,10 @@ def brute_support(premise: int, pdb) -> tuple[int, ...]:
 
 @pytest.fixture
 def pure_scan(monkeypatch):
-    """Run as if numpy were absent, even when it is installed: the pure-Python
-    bitmap builder, and the cell path (``csv.reader`` and row-by-row
-    encoding) for every block of a CSV table."""
+    """Run as if numpy were absent, even when it is installed: the cell path
+    (``csv.reader`` and row-by-row encoding) for every block of a CSV table.
+    The bitmaps come from the same builder either way, so the variants that
+    use this fixture show that everything past the reader needs no numpy."""
     import sys
 
     monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_np", None)

@@ -527,6 +527,12 @@ class TestSynthCommand:
         code = main(["synth", "--rows", "0", "--out-db", str(db), "--out-dbd", str(dbd)])
         assert code == 2
 
+    def test_same_path_for_both_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--rows", "30", "--out-db", "s.csv", "--out-dbd", "./s.csv"]) == 2
+        assert capsys.readouterr().err == "error: --out-db and --out-dbd name the same file: s.csv\n"
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("unwritable", ["--out-db", "--out-dbd"])
     def test_unwritable_path_is_data_error(self, tmp_path, capsys, unwritable):
         db, dbd = str(tmp_path / "s.csv"), str(tmp_path / "s.dbd.json")

@@ -328,6 +328,14 @@ class TestEncodeRow:
         with pytest.raises(MissingValueError, match="column 'color'"):
             encode_row(row, descs, catalog)
 
+    @pytest.mark.parametrize("column, cell", [("temp", 15.0), ("color", 1), ("label", True)])
+    def test_non_text_cell_is_an_error(self, column, cell):
+        descs = make_descriptors(variant(col=1, values=["1", "blue"]))
+        row = {"temp": "15", "color": "1", "label": "yes", column: cell}
+        message = re.escape(f"non-text value {cell!r} in column {column!r}")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            encode_row(row, descs, build_catalog(descs))
+
     def test_extra_cells_under_none_are_an_error(self):
         descs = make_descriptors()
         row = {"temp": "25", "color": "blue", "label": "yes", None: ["9"]}
@@ -373,6 +381,12 @@ class TestPreprocess:
         rows[1]["color"] = ""
         with pytest.raises(DataError, match="row 2: missing value in column 'color'"):
             preprocess(rows, make_descriptors())
+
+    def test_non_text_cell_names_row_and_column(self):
+        rows = self.rows()
+        rows[1]["temp"] = 25
+        with pytest.raises(DataError, match="^row 2: non-text value 25 in column 'temp'$"):
+            preprocess(rows, make_descriptors(), skip_missing=True)
 
     def test_skip_missing_counts(self):
         rows = self.rows()
@@ -1292,22 +1306,41 @@ class TestBitmaps:
         pdb = preprocess(rows, make_descriptors())
         assert pdb.bitmaps[1] == (0,) * len(pdb.catalog)
 
-    @pytest.mark.parametrize("m", [5, 64, 65, 130])
-    def test_pure_builder_matches_numpy(self, m, monkeypatch):
-        pytest.importorskip("numpy", exc_type=ImportError)
+    # goal sizes around a byte, a word of 8 records and a slice of 2**14
+    SIZES = (0, 1, 7, 8, 9, 17, 300, 2**14 - 1, 2**14, 2**14 + 9, 40_000)
+
+    @staticmethod
+    def per_bit(codes, m):
+        """Bitmap i has bit j set when codes[j] has bit i: the codes' binary
+        digits, transposed as strings."""
+        rows = [format(code, f"0{m}b")[::-1] for code in codes]  # digit i is bit i
+        return tuple(int("".join(column)[::-1], 2) for column in zip(*rows)) or (0,) * m
+
+    @pytest.mark.parametrize("m", [1, 5, 8, 63, 64, 65, 130])
+    def test_builder_matches_per_bit_reference(self, m):
         rng = random.Random(m)
-        parts = tuple(tuple(rng.randrange(1, 1 << m) for _ in range(n)) for n in (300, 0, 17))
-        catalog = generic_catalog(m)
-        built = PartitionedDatabase(parts, ("a", "b", "c"), catalog).bitmaps
-        monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_np", None)
-        pure = PartitionedDatabase(parts, ("a", "b", "c"), catalog).bitmaps
-        assert pure == built
+        parts = tuple(tuple(rng.getrandbits(m) for _ in range(n)) for n in self.SIZES)
+        labels = tuple(map(str, self.SIZES))
+        pdb = PartitionedDatabase(parts, labels, generic_catalog(m))
+        assert pdb.bitmaps == tuple(self.per_bit(part, m) for part in parts)
+
+    def test_big_endian_words_are_swapped(self, monkeypatch):
+        """The words as a big-endian machine holds them give the same bitmaps."""
+        m = 70
+        rng = random.Random(m)
+        codes = [rng.getrandbits(m) for _ in range(2**14 + 9)]
+        words = Records.pack(codes, 2).words
+        words.byteswap()
+        monkeypatch.setattr(sys, "byteorder", "big")
+        pdb = PartitionedDatabase((Records(words, 2),), ("a",), generic_catalog(m))
+        assert pdb.bitmaps == (self.per_bit(codes, m),)
 
 
 @pytest.mark.usefixtures("pure_scan")
 class TestPreprocessRowByRow(TestPreprocess):
-    """``TestPreprocess`` without numpy, which changes only the bitmap builder:
-    mapping rows are always encoded row by row."""
+    """``TestPreprocess`` without numpy, which changes nothing: mapping rows
+    are always encoded row by row, and the bitmap builder is the same with
+    or without numpy. Kept as a check that the mapping path needs no numpy."""
 
     test_encode_decode_roundtrip = None  # encode_row alone, which has no numpy path
 
