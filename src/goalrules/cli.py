@@ -244,6 +244,9 @@ def _report_text(report: RunReport) -> str:
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
+    for flag, path in (("--db", args.db), ("--dbd", args.dbd)):
+        if args.out and os.path.realpath(args.out) == os.path.realpath(path):
+            raise ConfigError(f"--out and {flag} name the same file: {args.out}")
     started = time.perf_counter()
     pdb = preprocess_csv(args.db, args.dbd, skip_missing=args.skip_missing)
     elapsed = time.perf_counter() - started

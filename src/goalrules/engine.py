@@ -1,15 +1,16 @@
 """Correlation-driven rule search over a partitioned database.
 
-One pass over the single-property supports gives each goal its candidate
-properties and its negative rules. Each goal's rules then grow depth-first
-from the empty premise: a premise only ever grows by a candidate whose bit
-sits above its top bit, so every premise set is generated exactly once, and
-each extension ANDs one more property bitmap onto the bitmaps of its
-parent's premise (the path bitmaps) instead of recounting the whole premise.
-The walk's first level is the single-property rules, and it is the one place
-where positive rules are made and marked final. The walk counts on the
-table's multiset root (``_Root``): a table written k times is walked once,
-with every count scaled back up by k.
+One function (``_goal_rules``) makes each goal's rules. One pass over the
+goal's single-property supports gives its candidate properties and its
+negative rules. Its positive rules then grow depth-first from the empty
+premise: a premise only ever grows by a candidate whose bit sits above its
+top bit, so every premise set is generated exactly once, and each extension
+ANDs one more property bitmap onto the bitmaps of its parent's premise (the
+path bitmaps) instead of recounting the whole premise. The walk's first
+level is the single-property rules, and it is the one place where positive
+rules are made and marked final. The walk counts on the table's multiset
+root (``_Root``): a table written k times is walked once, with every count
+scaled back up by k.
 
 Every decision compares two integer products of a rule's counts with
 constants fixed per goal (``_Bounds``); floats are made only for output.
@@ -144,54 +145,6 @@ class _Bounds(NamedTuple):
         return sup_k * self.stop_a >= sup * self.stop_b or sup_k < self.min_sup_k
 
 
-def _property_counts(pdb) -> list[list[int]]:
-    """Each property's record count per goal: the popcount of its bitmap."""
-    return [[bits.bit_count() for bits in maps] for maps in pdb.bitmaps]
-
-
-def _single_rules(
-    pdb, config: MiningConfig, counts: list[list[int]]
-) -> tuple[list[list[int]], list[list[Rule]]]:
-    """One pass over the single-property supports, per goal: the candidates,
-    the indices of the properties whose correlation exceeds ``min_corr``, in
-    ascending order, and the negative rules (correlation at or below
-    ``neg_corr``).
-
-    ``counts`` holds each goal's property counts (``_property_counts``).
-    Goals with an empty partition — or holding every record — get neither;
-    correlation carries no signal there.
-    """
-    total = pdb.total
-    sups = [sum(column) for column in zip(*counts)]
-    candidates: list[list[int]] = []
-    negative: list[list[Rule]] = []
-    for goal, n_k in enumerate(pdb.partition_sizes):
-        basis = (n_k, total, config.weights)
-        kept: list[int] = []
-        against: list[Rule] = []
-        if 0 < n_k < total:
-            bounds = _Bounds.of(n_k, total, config)
-            for i, (sup_k, sup) in enumerate(zip(counts[goal], sups)):
-                if sup == 0:
-                    continue
-                if sup_k * bounds.corr_a > sup * bounds.corr_b:
-                    kept.append(i)
-                elif sup_k * bounds.neg_a <= sup * bounds.neg_b:
-                    against.append(Rule(1 << i, 1, goal, sup_k, sup, basis, final=True, negative=True))
-        candidates.append(kept)
-        negative.append(against)
-    return candidates, negative
-
-
-def create_candidates(pdb, config: MiningConfig) -> list[list[Rule]]:
-    """Single-property rules whose correlation exceeds ``min_corr``, per goal,
-    in ascending code order: the first level of ``mine``'s walk, counted on
-    the table itself, a root that needs no tally."""
-    root, first = _Root(1, pdb.bitmaps, pdb.partition_sizes), replace(config, max_premise_len=1)
-    candidates = _single_rules(pdb, config, _property_counts(pdb))[0]
-    return [_grow(goal, group, root, first) for goal, group in enumerate(candidates)]
-
-
 class _Root(NamedTuple):
     """The table's multiset root, the smallest table the search can count
     on. ``g`` is the largest integer dividing every code's multiplicity in
@@ -235,29 +188,48 @@ class _Root(NamedTuple):
         return self.bitmaps[goal][i], outside
 
 
-def _grow(goal: int, candidates: Sequence[int], root: _Root, config: MiningConfig) -> list[Rule]:
-    """Every rule of ``goal`` that grows from the empty premise by its
-    ``candidates`` (ascending property indices), sorted by premise length,
-    then premise code.
+def _goal_rules(
+    goal: int, counts: Sequence[int], sups: Sequence[int], root: _Root, config: MiningConfig
+) -> tuple[list[Rule], list[Rule]]:
+    """``goal``'s positive rules, sorted by premise length, then premise
+    code, and its negative rules, in code order, from ``counts``, each
+    property's count in the goal, and ``sups``, its count in the table. A
+    goal that is empty or holds every record gets neither; correlation
+    carries no signal there.
 
-    A depth-first walk on an explicit stack of kept premises, from the empty
-    one with the root's all-ones pair. Each entry holds the AND of its
-    premise's root bitmaps inside the goal and outside it (the path bitmaps,
-    from ``root.pair``) and an iterator over the candidates above its top
-    bit, so every premise set is reached once. A try ANDs the candidate's
-    inside bitmap onto the inside path and counts it, times ``root.g``, as
-    ``sup_k``; only when that is not 0 does it AND and count the outside
-    pair, which gives ``sup - sup_k``. It is dropped at no support in the
-    goal or a correlation below ``min_corr``; otherwise it is a rule, final
-    when it holds the top candidate or ``stops``, and walked at once unless
-    final or at ``max_premise_len``. Its parent's tries resume after it, so
-    the stack holds only the current path. Every test is on the goal's
-    integer ``_Bounds`` with the full table's counts; no float is made.
+    One pass over the single properties takes those whose correlation
+    exceeds ``min_corr`` as candidates, in ascending order, and makes a
+    negative rule of each at or below ``neg_corr``. The positive rules then
+    grow in a depth-first walk on an explicit stack of kept premises, from
+    the empty one with the root's all-ones pair. Each entry holds the AND of
+    its premise's root bitmaps inside the goal and outside it (the path
+    bitmaps, from ``root.pair``) and an iterator over the candidates above
+    its top bit, so every premise set is reached once. A try ANDs the
+    candidate's inside bitmap onto the inside path and counts it, times
+    ``root.g``, as ``sup_k``; only when that is not 0 does it AND and count
+    the outside pair, which gives ``sup - sup_k``. It is dropped at no
+    support in the goal or a correlation below ``min_corr``; otherwise it is
+    a rule, final when it holds the top candidate or ``stops``, and walked
+    at once unless final or at ``max_premise_len``. Its parent's tries
+    resume after it, so the stack holds only the current path. Every test
+    is on the goal's integer ``_Bounds`` with the full table's counts.
     """
-    g, sizes, n = root.g, root.sizes, len(candidates)
+    g, sizes = root.g, root.sizes
     basis = (sizes[goal] * g, sum(sizes) * g, config.weights)
+    if not 0 < basis[0] < basis[1]:
+        return [], []
     bounds = _Bounds.of(basis[0], basis[1], config)
     corr_a, corr_b, stops = bounds.corr_a, bounds.corr_b, bounds.stops
+    candidates: list[int] = []
+    negative: list[Rule] = []
+    for i, (sup_k, sup) in enumerate(zip(counts, sups)):
+        if sup == 0:
+            continue
+        if sup_k * corr_a > sup * corr_b:
+            candidates.append(i)
+        elif sup_k * bounds.neg_a <= sup * bounds.neg_b:
+            negative.append(Rule(1 << i, 1, goal, sup_k, sup, basis, final=True, negative=True))
+    n = len(candidates)
     limit = config.max_premise_len or n
     columns = [root.pair(goal, i) for i in candidates]
     rules: list[Rule] = []
@@ -283,7 +255,7 @@ def _grow(goal: int, candidates: Sequence[int], root: _Root, config: MiningConfi
         else:
             stack.pop()  # every try made
     rules.sort(key=attrgetter("premise_len", "premise"))
-    return rules
+    return rules, negative
 
 
 def check_threads(threads: int) -> None:
@@ -295,32 +267,32 @@ def check_threads(threads: int) -> None:
 def mine(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> RuleSet:
     """Mine the positive and negative rules of every goal class.
 
-    One single-property pass (``_single_rules``) gives each goal its
-    negative rules and its candidate properties. A depth-first walk
-    (``_grow``) then grows each goal's rules from the empty premise, one
-    candidate bit above the top bit at a time, ANDing that property's
-    bitmaps onto the premise's path bitmaps over the table's multiset root
-    (``_Root``). ``threads`` is accepted for compatibility and must be >= 1;
-    the search runs sequentially, so results are identical for any value.
+    One popcount of each property bitmap gives the property's count per
+    goal, and their column sums its count in the table. ``_Root.of`` builds
+    the table's multiset root from them once; ``_goal_rules`` then makes
+    each goal's rules on it. ``threads`` is accepted for compatibility and
+    must be >= 1; the search runs sequentially, so results are identical
+    for any value.
     """
     check_threads(threads)
-    if config is None:
-        config = MiningConfig()
-    counts = _property_counts(pdb)
-    candidates, negative = _single_rules(pdb, config, counts)
+    config = config or MiningConfig()
+    counts = [[bits.bit_count() for bits in maps] for maps in pdb.bitmaps]
+    sups = [sum(column) for column in zip(*counts)]
     root = _Root.of(pdb, counts)
-    return RuleSet(
-        tuple(tuple(_grow(goal, group, root, config)) for goal, group in enumerate(candidates)),
-        tuple(map(tuple, negative)),
-    )
+    groups = [_goal_rules(goal, row, sups, root, config) for goal, row in enumerate(counts)]
+    return RuleSet(tuple(tuple(p) for p, _ in groups), tuple(tuple(n) for _, n in groups))
+
+
+def create_candidates(pdb, config: MiningConfig) -> list[list[Rule]]:
+    """Single-property rules whose correlation exceeds ``min_corr``, per goal,
+    in ascending code order: ``mine``'s positive groups at premise length 1."""
+    return list(map(list, mine(pdb, replace(config, max_premise_len=1)).positive))
 
 
 def mine_negative(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> list[list[Rule]]:
     """Single-property rules arguing against a goal: correlation at or below
     ``neg_corr``. These are terminal; longer premises only lose support.
-    The same groups as ``mine(...).negative``; ``threads`` is a sequential
-    alias, as in ``mine``."""
-    check_threads(threads)
-    if config is None:
-        config = MiningConfig()
-    return _single_rules(pdb, config, _property_counts(pdb))[1]
+    ``mine``'s negative groups, made at premise length 1; ``threads`` is a
+    sequential alias, as in ``mine``."""
+    config = replace(config or MiningConfig(), max_premise_len=1)
+    return list(map(list, mine(pdb, config, threads=threads).negative))

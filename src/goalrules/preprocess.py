@@ -26,7 +26,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import accumulate, chain, zip_longest
+from itertools import accumulate, chain, repeat, zip_longest
 from math import isfinite
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -123,12 +123,20 @@ def validate_descriptors(descriptors: Sequence[ColumnDescriptor]) -> ColumnDescr
     return targets[0]
 
 
-def _whole(value) -> int:
+def _whole(value, owner: str, key: str) -> int:
     """A JSON whole number: an integer or a string of ASCII digits. ``int()``
     would read ``true`` as 1, truncate 2.7 to 2 and read " 1 " and "1_0"."""
     if type(value) is int or isinstance(value, str) and value.isascii() and value.isdigit():
         return int(value)
-    raise ValueError(f"not a whole number: {value!r}")
+    raise DataError(f"{owner}: bad {key!r} value {value!r}")
+
+
+def _wholes(values, owner: str, key: str) -> tuple[int, ...]:
+    """``_whole`` of each of ``values``, a bad one named by ``owner`` and its position."""
+    try:
+        return tuple(map(_whole, values, repeat(owner), repeat(key)))
+    except DataError:
+        return tuple(_whole(value, f"{owner} {i}", key) for i, value in enumerate(values))
 
 
 def _text(value, owner: str, key: str) -> str:
@@ -163,10 +171,8 @@ def parse_description(text: str) -> list[ColumnDescriptor]:
             raise DataError(f"column entry is missing key {exc.args[0]!r}") from exc
         name = _text(name, f"column {name!r}", "name")
         kind = _text(kind, f"column {name!r}", "kind")
-        try:
-            classes = _whole(int(classes) if type(classes) is float and classes.is_integer() else classes)
-        except ValueError as exc:
-            raise DataError(f"column {name!r}: bad 'classes' value") from exc
+        classes = int(classes) if type(classes) is float and classes.is_integer() else classes
+        classes = _whole(classes, f"column {name!r}", "classes")
         if not isinstance(raw_values, list):
             raise DataError(f"column {name!r}: 'values' must be a list")
         if kind == CONTINUOUS:
@@ -804,17 +810,17 @@ def database_from_dict(doc: dict) -> PartitionedDatabase:
         catalog = PropertyCatalog(
             tuple(
                 Property(
-                    index=_whole(e["index"]),
+                    index=_whole(e["index"], f"{dump}: property {i}", "index"),
                     name=_text(e["name"], f"{dump}: property {i}", "name"),
                     column=_text(e["column"], f"{dump}: property {i}", "column"),
-                    category=_whole(e["category"]),
+                    category=_whole(e["category"], f"{dump}: property {i}", "category"),
                     full_name=_text(e["full_name"], f"{dump}: property {i}", "full_name"),
                 )
                 for i, e in enumerate(doc["catalog"])
             )
         )
-        records = tuple(map(_whole, doc["records"]))
-        sizes = tuple(map(_whole, doc["partition_sizes"]))
+        records = _wholes(doc["records"], f"{dump}: record", "records")
+        sizes = _wholes(doc["partition_sizes"], f"{dump}: partition", "partition_sizes")
         labels = tuple(_text(v, dump, "goal_labels") for v in doc["goal_labels"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{dump}: {exc}") from exc
@@ -836,7 +842,7 @@ def database_from_dict(doc: dict) -> PartitionedDatabase:
         if record in checked:
             continue
         if record <= 0 or record >> len(catalog):
-            raise DataError(f"code out of catalog range: {record}")
+            raise DataError(f"record {index}: code out of catalog range: {record}")
         for column, mask in shared:
             if (record & mask).bit_count() > 1:
                 raise DataError(f"record {index}: more than one property of column {column!r}")

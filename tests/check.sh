@@ -10,10 +10,13 @@
 # the working tree's on the same small `goalrules synth` tables; `mine` in
 # every format, with and without --negative. One table has more than 64
 # properties and is mined with --max-premise-len 2, and one has its data
-# lines written 3 times. The working tree runs twice, with numpy and with
-# numpy blocked, and each run is compared with the revision's. It prints
-# `same` or `DIFF` per comparison (stdout, stderr and exit status), with
-# lines holding `_seconds` left out, and exits non-zero on any DIFF.
+# lines written 3 times. The small table is also mined with
+# --max-premise-len 1 --negative --format json, the single-property rules
+# that `create_candidates` and `mine_negative` return. The working tree runs
+# twice, with numpy and with numpy blocked, and each run is compared with the
+# revision's. It prints `same` or `DIFF` per comparison (stdout, stderr and
+# exit status), 44 lines in all, with lines holding `_seconds` left out, and
+# exits non-zero on any DIFF.
 cd "$(dirname "$0")/.." || exit 1
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 with_numpy=$?
@@ -65,4 +68,5 @@ for table in small wide tripled; do
         done
     done
 done
+compare mine small --format json --negative --max-premise-len 1
 [ "$with_numpy" -eq 0 ] && [ "$without_numpy" -eq 0 ] && [ "$status" -eq 0 ]

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from goalrules import PartitionedDatabase, Property, PropertyCatalog, RuleSet
+from goalrules import PartitionedDatabase, Property, PropertyCatalog, RuleSet, engine
 
 
 def generic_catalog(m: int) -> PropertyCatalog:
@@ -43,6 +43,33 @@ def random_pdb(rng: random.Random, max_m: int = 12, max_part: int = 24) -> Parti
     if not any(parts):
         parts[0].append(1)
     return build_pdb(parts, m)
+
+
+def property_counts(pdb) -> list[list[int]]:
+    """Each property's record count per goal: the popcount of its bitmap."""
+    return [[bits.bit_count() for bits in maps] for maps in pdb.bitmaps]
+
+
+def multiset_root(pdb):
+    """The table's multiset root, built as ``mine`` builds it."""
+    return engine._Root.of(pdb, property_counts(pdb))
+
+
+def assert_bitmaps_equal(actual, expected) -> None:
+    """Per-goal property bitmaps compared pair by pair. A failure names the
+    first ``(goal, property)`` that differs and its lowest differing bit: a
+    plain ``==`` on bitmaps of many records fails with an int too long for
+    pytest to print."""
+    assert len(actual) == len(expected), f"{len(actual)} goals, expected {len(expected)}"
+    for goal, (maps, want) in enumerate(zip(actual, expected)):
+        assert len(maps) == len(want), f"goal {goal}: {len(maps)} properties, expected {len(want)}"
+        for i, (bits, wanted) in enumerate(zip(maps, want)):
+            if bits != wanted:
+                low = ((bits ^ wanted) & -(bits ^ wanted)).bit_length() - 1
+                pytest.fail(
+                    f"goal {goal}, property {i}: bit {low} is {bits >> low & 1}, expected {wanted >> low & 1}",
+                    pytrace=False,
+                )
 
 
 def assert_rulesets_equal(left: RuleSet, right: RuleSet, tol: float = 0.0) -> None:

@@ -129,6 +129,22 @@ class TestPreprocessCommand:
             err = capsys.readouterr().err
             assert err == f"error: cannot read {missing}: No such file or directory\n"
 
+    @pytest.mark.parametrize("flag", ["--db", "--dbd"])
+    def test_out_naming_an_input_is_usage_error(self, table, tmp_path, capsys, monkeypatch, flag):
+        """``--out`` may not overwrite the table or its description, however
+        the path is spelled, and is refused before either is read."""
+        paths = dict(zip(("--db", "--dbd"), table))
+        target = Path(paths[flag])
+        before = [Path(path).read_bytes() for path in table]
+        monkeypatch.chdir(target.parent)
+        (tmp_path / "link").symlink_to(target)
+        for out in (f"./{target.name}", str(tmp_path / "link")):
+            assert main(["preprocess", *sum(paths.items(), ()), "--out", out]) == 2
+            assert capsys.readouterr() == ("", f"error: --out and {flag} name the same file: {out}\n")
+        assert [Path(path).read_bytes() for path in table] == before
+        paths[flag] = str(tmp_path / "missing")  # 2, not the 3 of an input that cannot be read
+        assert main(["preprocess", *sum(paths.items(), ()), "--out", paths[flag]]) == 2
+
     def test_unwritable_out_is_data_error(self, table, tmp_path, capsys):
         db, dbd = table
         out = str(tmp_path / "nope" / "enc.json")
@@ -193,19 +209,20 @@ class TestMineCommand:
         assert doc["report"]["negative_counts"] == [0, 0]
 
     def test_one_single_property_pass(self, table, capsys, monkeypatch):
-        """Negative rules come from the pass that seeds the search."""
+        """Negative rules come from the pass that seeds the search: one
+        ``_Bounds`` per goal serves both rule kinds."""
         calls = []
-        single_rules = engine._single_rules
+        bounds_of = engine._Bounds.of
 
         def counted(*args):
             calls.append(args)
-            return single_rules(*args)
+            return bounds_of(*args)
 
-        monkeypatch.setattr(engine, "_single_rules", counted)
+        monkeypatch.setattr(engine._Bounds, "of", counted)
         db, dbd = table
         assert main(["mine", "--db", db, "--dbd", dbd, "--negative"]) == 0
         assert "negative=[2, 2]" in capsys.readouterr().out
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     def test_csv_output(self, table, capsys):
         db, dbd = table

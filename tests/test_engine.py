@@ -9,7 +9,14 @@ from goalrules import ConfigError, CriteriaWeights, MiningConfig, compute_metric
 from goalrules.engine import create_candidates, mine_negative
 from goalrules.metrics import support
 from goalrules.preprocess import replicate
-from conftest import assert_rulesets_equal, build_pdb, random_pdb
+from conftest import (
+    assert_bitmaps_equal,
+    assert_rulesets_equal,
+    build_pdb,
+    multiset_root,
+    property_counts,
+    random_pdb,
+)
 from oracle import from_database, oracle_mine
 
 # Two properties that are individually informative for goal 0 but nearly
@@ -427,10 +434,6 @@ class TestMultisetRoot:
             request.getfixturevalue("pure_scan")
 
     @staticmethod
-    def root(pdb):
-        return engine._Root.of(pdb, engine._property_counts(pdb))
-
-    @staticmethod
     def assert_oracle(pdb, config):
         rules = mine(pdb, config)
         assert_rulesets_equal(rules, oracle_mine(from_database(pdb), len(pdb.partitions), config))
@@ -451,7 +454,7 @@ class TestMultisetRoot:
         base = random_pdb(random.Random(seed), max_part=30)
         config = MiningConfig(min_corr=0.2, min_f_all=0.05)
         pdb = replicate(base, 6)
-        assert self.root(pdb).g % 6 == 0
+        assert multiset_root(pdb).g % 6 == 0
         rules = self.assert_oracle(pdb, config)
         self.assert_scaled(rules, mine(base, config), 6)
         assert max(r.premise_len for r in rules.all_positive()) >= 3  # the walk must bite
@@ -470,16 +473,18 @@ class TestMultisetRoot:
             raise AssertionError("codes tallied on a table whose counts have gcd 1")
 
         monkeypatch.setattr(engine, "Counter", no_tally)
-        assert self.root(pdb) == (1, pdb.bitmaps, pdb.partition_sizes)
+        root = multiset_root(pdb)
+        assert (root.g, root.sizes) == (1, pdb.partition_sizes)
+        assert_bitmaps_equal(root.bitmaps, pdb.bitmaps)
         self.assert_oracle(pdb, MiningConfig(min_corr=0.2, min_f_all=0.05))
 
     def test_counts_sharing_a_factor_of_distinct_codes(self):
         """Every size and property count is even, but each code of goal 0
         appears once, so g is 1."""
         pdb = build_pdb([[0b0101, 0b1010, 0b0110, 0b1001], [0b1111, 0b1111]], m=4)
-        counts = engine._property_counts(pdb)
+        counts = property_counts(pdb)
         assert math.gcd(*pdb.partition_sizes, *(n for goal in counts for n in goal)) == 2
-        assert self.root(pdb).g == 1
+        assert multiset_root(pdb).g == 1
         rules = self.assert_oracle(pdb, MiningConfig(min_corr=0.2))
         pairs = [(r.premise, r.sup_k, r.sup) for r in rules.positive[1] if r.premise_len == 2]
         assert pairs == [
@@ -498,7 +503,7 @@ class TestMultisetRoot:
         f = (rule.sup_k + 0.5) / pdb.total
         config = MiningConfig(min_corr=0.2, min_f_all=f)
         assert engine._Bounds.of(1, pdb.total, config).min_sup_k == rule.sup_k + 1
-        assert self.root(pdb).g == k
+        assert multiset_root(pdb).g == k
         rules = self.assert_oracle(pdb, config)
         self.assert_scaled(rules, mine(base, config), k)
         kept = {r.premise: r for r in rules.positive[rule.goal]}

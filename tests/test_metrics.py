@@ -86,11 +86,6 @@ class TestSupport:
         for premise in wide_premises(m, random.Random(m)):
             assert support(premise, pdb) == brute_support(premise, pdb), premise
 
-    def test_support_matches_brute_force_on_pure_path(self, pure_scan):
-        pdb = random_wide_pdb(65, seed=5)
-        for premise in wide_premises(65, random.Random(5)):
-            assert support(premise, pdb) == brute_support(premise, pdb), premise
-
     @given(seed=st.integers(0, 10_000), factor=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_random_premises_match_brute_force_and_scale(self, seed, factor):

@@ -28,7 +28,7 @@ from goalrules import (
     preprocess_csv,
     read_table,
 )
-from goalrules import engine, mine
+from goalrules import mine
 from goalrules.metrics import support
 from goalrules.preprocess import (
     Records,
@@ -43,7 +43,7 @@ from goalrules.preprocess import (
 from goalrules.cli import main
 from goalrules.datasets import save_tables, synthetic_tables
 
-from conftest import assert_rulesets_equal, generic_catalog
+from conftest import assert_bitmaps_equal, assert_rulesets_equal, generic_catalog, multiset_root
 from oracle import from_database, oracle_mine
 
 DESC = {
@@ -556,6 +556,14 @@ class TestDumpLoad:
         with pytest.raises(DataError, match="code out of catalog range"):
             load_database(path)
 
+    @pytest.mark.parametrize("index, record", [(0, 32), (2, 0), (1, 64)])
+    def test_load_names_the_record_out_of_catalog_range(self, index, record):
+        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
+        doc["records"][index] = str(record)
+        message = f"record {index}: code out of catalog range: {record}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            database_from_dict(doc)
+
     @pytest.mark.parametrize("index, record, column", [(0, 0b00111, "temp"), (2, 0b11001, "color")])
     def test_load_rejects_two_properties_of_one_column(self, index, record, column):
         doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
@@ -607,15 +615,22 @@ class TestDumpLoad:
             ("partition_sizes", 0, None, 2.5),
             ("catalog", 0, "index", 0.0),
             ("catalog", 1, "category", True),
+            ("records", 2, None, "9.0"),
+            ("partition_sizes", 1, None, None),
+            ("catalog", 3, "index", "3 "),
+            ("catalog", 4, "category", -0.5),
         ],
     )
     def test_load_takes_only_whole_numbers(self, key, index, field, value):
+        """A bad number is named by its place, as a bad text field is."""
         doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
         if field is None:
             doc[key][index] = value
+            item = {"records": "record", "partition_sizes": "partition"}[key]
+            message = f"malformed database dump: {item} {index}: bad {key!r} value {value!r}"
         else:
             doc[key][index][field] = value
-        message = f"malformed database dump: not a whole number: {value!r}"
+            message = f"malformed database dump: property {index}: bad {field!r} value {value!r}"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             database_from_dict(json.loads(json.dumps(doc)))
 
@@ -1290,7 +1305,7 @@ class TestBitmaps:
     def test_bit_j_of_goal_k_is_record_j(self):
         pdb = preprocess(TestPreprocess().rows(), make_descriptors())
         # goal 0 holds 9 = T0|C0 and 10 = T1|C0; goal 1 holds 20 = T2|C1
-        assert pdb.bitmaps == ((0b01, 0b10, 0, 0b11, 0), (0, 0, 1, 0, 1))
+        assert_bitmaps_equal(pdb.bitmaps, ((0b01, 0b10, 0, 0b11, 0), (0, 0, 1, 0, 1)))
 
     def test_wide_catalog(self):
         pdb = PartitionedDatabase(
@@ -1322,7 +1337,7 @@ class TestBitmaps:
         parts = tuple(tuple(rng.getrandbits(m) for _ in range(n)) for n in self.SIZES)
         labels = tuple(map(str, self.SIZES))
         pdb = PartitionedDatabase(parts, labels, generic_catalog(m))
-        assert pdb.bitmaps == tuple(self.per_bit(part, m) for part in parts)
+        assert_bitmaps_equal(pdb.bitmaps, tuple(self.per_bit(part, m) for part in parts))
 
     def test_big_endian_words_are_swapped(self, monkeypatch):
         """The words as a big-endian machine holds them give the same bitmaps."""
@@ -1333,7 +1348,7 @@ class TestBitmaps:
         words.byteswap()
         monkeypatch.setattr(sys, "byteorder", "big")
         pdb = PartitionedDatabase((Records(words, 2),), ("a",), generic_catalog(m))
-        assert pdb.bitmaps == (self.per_bit(codes, m),)
+        assert_bitmaps_equal(pdb.bitmaps, (self.per_bit(codes, m),))
 
 
 @pytest.mark.usefixtures("pure_scan")
@@ -1525,7 +1540,7 @@ class TestRecordWidths:
         for copies in (1, 3):
             pdb = preprocess_csv(*self.write(tmp_path, doc, lines, copies=copies))
             self.assert_packed(pdb, m, self.expected(doc, lines, copies))
-            assert engine._Root.of(pdb, engine._property_counts(pdb)).g == copies
+            assert multiset_root(pdb).g == copies
             rules = mine(pdb, config)
             assert_rulesets_equal(rules, oracle_mine(from_database(pdb), 3, config))
             premises = [r.premise for r in rules.all_positive()]
