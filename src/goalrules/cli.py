@@ -92,34 +92,28 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _spelled(code: int, names: Sequence[str], sep: str, prefixes: dict[int, str]) -> str:
-    """The names at the premise's set bits, in bit order, joined by ``sep``.
-    ``prefixes`` holds the text of each prefix (a premise without its top
-    bit) spelled so far, each name followed by ``sep``; a missing prefix is
-    spelled from its longest prefix there, and kept with those between."""
-    if not code:
-        return ""
-    top = code.bit_length() - 1
-    prefix = code ^ 1 << top
-    text = prefixes.get(prefix)
-    if text is None:
-        missing = []  # longest first
-        while prefix and prefix not in prefixes:
-            missing.append(prefix)
-            prefix ^= 1 << prefix.bit_length() - 1
-        text = prefixes.setdefault(prefix, "")
-        for prefix in reversed(missing):
-            text = prefixes[prefix] = f"{text}{names[prefix.bit_length() - 1]}{sep}"
-    return text + names[top]
-
-
 def _spelled_rules(ruleset: RuleSet, names: Sequence[str], sep: str) -> Iterator[tuple[Rule, str]]:
-    """Each rule, positive groups first, and its premise spelled; a goal's
-    premises grow from each other, so a group spells each prefix once."""
+    """Each rule, positive groups first, and its premise: its names in bit
+    order, joined by ``sep``. A group keeps the text of each prefix (the
+    premise without its top bit, each name followed by ``sep``), spelling a
+    missing one from its longest prefix there and keeping those between."""
     for group in ruleset.positive + ruleset.negative:
-        prefixes: dict[int, str] = {}
+        prefixes = {0: ""}
         for rule in group:
-            yield rule, _spelled(rule.premise, names, sep, prefixes)
+            if not rule.premise:
+                yield rule, ""
+                continue
+            top = rule.premise.bit_length() - 1
+            prefix = rule.premise ^ 1 << top
+            if (text := prefixes.get(prefix)) is None:
+                missing = []  # longest first
+                while prefix not in prefixes:
+                    missing.append(prefix)
+                    prefix ^= 1 << prefix.bit_length() - 1
+                text = prefixes[prefix]
+                for prefix in reversed(missing):
+                    text = prefixes[prefix] = f"{text}{names[prefix.bit_length() - 1]}{sep}"
+            yield rule, text + names[top]
 
 
 def format_rules_table(ruleset: RuleSet, pdb: PartitionedDatabase) -> str:
@@ -174,8 +168,8 @@ def write_mining_json(
     does, which is ``json``'s spelling for every finite float (weights with
     a finite sum keep every quality finite). The criteria are a function of
     the rule's goal and counts, so their text is made once per distinct
-    ``(goal, sup_k, sup)`` in a group and reused; so is each prefix's
-    premise text (``_spelled``).
+    ``(sup_k, sup)`` in a goal's run of rules, kept until the goal changes;
+    ``_spelled_rules`` spells each premise prefix once per group.
     """
 
     def nested(value) -> str:
@@ -190,37 +184,34 @@ def write_mining_json(
         f'\n  "rules": ['
     )
     separator, closing = "\n", "]"
-    # A group is one goal's rules of one kind, and the two kinds have no
-    # correlation in common, so no criteria text serves two groups.
-    for group in ruleset.positive + ruleset.negative:
-        counted: dict[tuple[int, int, int], str] = {}  # text from "goal" to "q"
-        prefixes: dict[int, str] = {}
-        for rule in group:
-            premise = _spelled(rule.premise, names, ",\n        ", prefixes)
-            key = (rule.goal, rule.sup_k, rule.sup)
-            if key not in counted:
-                m = rule.metrics
-                counted[key] = (
-                    f'\n      "goal": {goals[rule.goal]},'
-                    f'\n      "sup_k": {rule.sup_k},'
-                    f'\n      "sup": {rule.sup},'
-                    f'\n      "f_g": {m.f_g!r},'
-                    f'\n      "f_all": {m.f_all!r},'
-                    f'\n      "conf": {m.confidence!r},'
-                    f'\n      "lift": {m.lift!r},'
-                    f'\n      "corr": {m.correlation!r},'
-                    f'\n      "q": {m.quality!r},'
-                )
-            premise = f"[\n        {premise}\n      ]" if premise else "[]"
-            out.write(
-                f"{separator}    {{"
-                f'\n      "premise": {premise},'
-                f"{counted[key]}"
-                f'\n      "final": {"true" if rule.final else "false"},'
-                f'\n      "negative": {"true" if rule.negative else "false"}'
-                f"\n    }}"
+    goal = None
+    for rule, premise in _spelled_rules(ruleset, names, ",\n        "):
+        if rule.goal != goal:  # text from "goal" to "q", by (sup_k, sup); none serves two goals
+            counted, goal = {}, rule.goal
+        key = (rule.sup_k, rule.sup)
+        if key not in counted:
+            m = rule.metrics
+            counted[key] = (
+                f'\n      "goal": {goals[rule.goal]},'
+                f'\n      "sup_k": {rule.sup_k},'
+                f'\n      "sup": {rule.sup},'
+                f'\n      "f_g": {m.f_g!r},'
+                f'\n      "f_all": {m.f_all!r},'
+                f'\n      "conf": {m.confidence!r},'
+                f'\n      "lift": {m.lift!r},'
+                f'\n      "corr": {m.correlation!r},'
+                f'\n      "q": {m.quality!r},'
             )
-            separator, closing = ",\n", "\n  ]"
+        premise = f"[\n        {premise}\n      ]" if premise else "[]"
+        out.write(
+            f"{separator}    {{"
+            f'\n      "premise": {premise},'
+            f"{counted[key]}"
+            f'\n      "final": {"true" if rule.final else "false"},'
+            f'\n      "negative": {"true" if rule.negative else "false"}'
+            f"\n    }}"
+        )
+        separator, closing = ",\n", "\n  ]"
     out.write(f'{closing},\n  "report": {nested(asdict(report))}\n}}\n')
 
 
@@ -267,8 +258,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     if args.out:
         report(f"encoded database written to {args.out}")
     else:
-        json.dump(database_to_dict(pdb), sys.stdout, indent=2)
-        print()
+        print(json.dumps(database_to_dict(pdb), indent=2))
     return 0
 
 

@@ -127,7 +127,10 @@ def _whole(value, owner: str, key: str) -> int:
     """A JSON whole number: an integer or a string of ASCII digits. ``int()``
     would read ``true`` as 1, truncate 2.7 to 2 and read " 1 " and "1_0"."""
     if type(value) is int or isinstance(value, str) and value.isascii() and value.isdigit():
-        return int(value)
+        try:
+            return int(value)
+        except ValueError as exc:  # more digits than Python reads as an int
+            raise DataError(f"{owner}: {key!r} value: {exc}") from None
     raise DataError(f"{owner}: bad {key!r} value {value!r}")
 
 
@@ -157,7 +160,7 @@ def parse_description(text: str) -> list[ColumnDescriptor]:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise DataError(f"description is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), list) or not doc["columns"]:
         raise DataError("description must contain a non-empty 'columns' list")
@@ -796,17 +799,26 @@ def catalog_to_list(catalog: PropertyCatalog) -> list[dict]:
 
 def database_to_dict(pdb: PartitionedDatabase) -> dict:
     """JSON-ready dump; records are decimal strings to survive any reader."""
+    try:
+        records = [str(r) for r in pdb.records]
+    except ValueError as exc:
+        bound = 10 ** sys.get_int_max_str_digits()
+        index = next(i for i, r in enumerate(pdb.records) if r >= bound)
+        raise DataError(f"cannot dump record {index}: {exc}") from None
     return {
         "goal_labels": list(pdb.goal_labels),
         "partition_sizes": list(pdb.partition_sizes),
         "catalog": catalog_to_list(pdb.catalog),
-        "records": [str(r) for r in pdb.records],
+        "records": records,
     }
 
 
 def database_from_dict(doc: dict) -> PartitionedDatabase:
     dump = "malformed database dump"
     try:
+        for key in ("goal_labels", "partition_sizes", "catalog", "records"):
+            if type(doc[key]) is not list:  # a string would be read a character at a time
+                raise DataError(f"{dump}: {key!r} must be a list, not {type(doc[key]).__name__}")
         catalog = PropertyCatalog(
             tuple(
                 Property(
@@ -852,10 +864,10 @@ def database_from_dict(doc: dict) -> PartitionedDatabase:
 
 
 def dump_database(pdb: PartitionedDatabase, path) -> None:
+    text = json.dumps(database_to_dict(pdb), indent=2) + "\n"  # a failure leaves the file as it was
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(database_to_dict(pdb), handle, indent=2)
-            handle.write("\n")
+            handle.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -863,7 +875,7 @@ def dump_database(pdb: PartitionedDatabase, path) -> None:
 def load_database(path) -> PartitionedDatabase:
     try:
         doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise DataError(f"database dump is not valid JSON: {exc}") from exc
     return database_from_dict(doc)
 

@@ -5,18 +5,19 @@
 # either test run does.
 #
 # With a revision, as in `sh tests/check.sh HEAD`, it then also runs
-# `goalrules preprocess` (without --out, so the dump goes to stdout and the
-# report to stderr) and `goalrules mine` from that revision's src/ and from
-# the working tree's on the same small `goalrules synth` tables; `mine` in
-# every format, with and without --negative. One table has more than 64
-# properties and is mined with --max-premise-len 2, and one has its data
-# lines written 3 times. The small table is also mined with
+# `goalrules preprocess` and `goalrules mine` from that revision's src/ and
+# from the working tree's on the same small `goalrules synth` tables.
+# `preprocess` runs without --out, so the dump goes to stdout and the report
+# to stderr, and with --out, whose file is compared along with the report;
+# `mine` runs in every format, with and without --negative. One table has
+# more than 64 properties and is mined with --max-premise-len 2, and one has
+# its data lines written 3 times. The small table is also mined with
 # --max-premise-len 1 --negative --format json, the single-property rules
 # that `create_candidates` and `mine_negative` return. The working tree runs
 # twice, with numpy and with numpy blocked, and each run is compared with the
-# revision's. It prints `same` or `DIFF` per comparison (stdout, stderr and
-# exit status), 44 lines in all, with lines holding `_seconds` left out, and
-# exits non-zero on any DIFF.
+# revision's. It prints `same` or `DIFF` per comparison (stdout, stderr,
+# exit status and any --out file), 50 lines in all, with lines holding
+# `_seconds` left out, and exits non-zero on any DIFF.
 cd "$(dirname "$0")/.." || exit 1
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 with_numpy=$?
@@ -42,10 +43,12 @@ cp "$tmp/base.dbd.json" "$tmp/tripled.dbd.json"
 run() {  # run <src dir> <output file> <command> <table> <arguments...>
     src=$1 out=$2 command=$3 table=$4
     shift 4
+    rm -f "$tmp/dump.json"
     PYTHONPATH=$src python -m goalrules.cli "$command" --db "$tmp/$table.csv" --dbd "$tmp/$table.dbd.json" "$@" \
         >"$out" 2>"$out.err"
     echo "exit $?" >>"$out.err"
     cat "$out.err" >>"$out"
+    [ -f "$tmp/dump.json" ] && cat "$tmp/dump.json" >>"$out"
     grep -v _seconds "$out" >"$out.kept"
 }
 compare() {  # compare <command> <table> <arguments...>
@@ -54,12 +57,13 @@ compare() {  # compare <command> <table> <arguments...>
         run "$pythonpath" "$tmp/after" "$@"
         if cmp -s "$tmp/before.kept" "$tmp/after.kept"; then verdict=same; else verdict=DIFF; status=1; fi
         [ "$pythonpath" = src ] && numpy="" || numpy=" without numpy"
-        echo "$verdict$numpy: $*"
+        echo "$verdict$numpy: $*" | sed "s|$tmp/||"
     done
 }
 status=0
 for table in small wide tripled; do
     compare preprocess "$table"
+    compare preprocess "$table" --out "$tmp/dump.json"
     [ "$table" = wide ] && args="--max-premise-len 2" || args=""
     for format in json csv table; do
         for negative in "" --negative; do

@@ -98,8 +98,9 @@ def brute_support(premise: int, pdb) -> tuple[int, ...]:
 def pure_scan(monkeypatch):
     """Run as if numpy were absent, even when it is installed: the cell path
     (``csv.reader`` and row-by-row encoding) for every block of a CSV table.
-    The bitmaps come from the same builder either way, so the variants that
-    use this fixture show that everything past the reader needs no numpy."""
+    Only the CSV reader reads numpy, so only its tests use this fixture:
+    ``TestCsvRowByRow``, ``TestBlockReader.test_matches_the_cell_path`` and
+    ``TestBlockReader.test_quoted_table_reads_as_its_plain_form``."""
     import sys
 
     monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_np", None)

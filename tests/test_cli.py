@@ -153,6 +153,27 @@ class TestPreprocessCommand:
         assert captured.err == f"error: cannot write {out}: No such file or directory\n"
         assert captured.out == ""
 
+    def test_code_too_long_for_text_is_data_error(self, tmp_path, capsys):
+        """A code of more than 4,300 decimal digits (a top bit past about
+        14,280) cannot be written as a dump: no dump is printed, and the file
+        ``--out`` names keeps its old bytes."""
+        labels = [f"v{i}" for i in range(15_000)]
+        db, dbd, out = tmp_path / "big.csv", tmp_path / "big.dbd.json", tmp_path / "d.json"
+        db.write_text("c,y\nv0,a\nv14999,b\n")
+        dbd.write_text(json.dumps({"columns": [
+            {"name": "c", "kind": "categorical", "short": "C", "classes": len(labels), "values": labels},
+            {"name": "y", "kind": "target", "short": "Y", "classes": 2, "values": ["a", "b"]},
+        ]}))
+        out.write_text("kept\n")
+        error = "error: cannot dump record 1: Exceeds the limit (4300 digits) for integer string conversion"
+        assert main(["preprocess", "--db", str(db), "--dbd", str(dbd), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(error)
+        assert out.read_text() == "kept\n"
+        assert main(["preprocess", "--db", str(db), "--dbd", str(dbd)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"\n{error}" in captured.err
+
     def test_skip_missing_reports_count(self, table, tmp_path, capsys):
         db, dbd = table
         broken = tmp_path / "broken.csv"

@@ -428,11 +428,6 @@ class TestMultisetRoot:
     g: the rules are the oracle's on the full table, and those of the
     table's base with every count times k."""
 
-    @pytest.fixture(autouse=True, params=["numpy", "pure_scan"])
-    def scan(self, request):
-        if request.param == "pure_scan":
-            request.getfixturevalue("pure_scan")
-
     @staticmethod
     def assert_oracle(pdb, config):
         rules = mine(pdb, config)

@@ -84,6 +84,8 @@ class TestParseDescription:
     def test_not_json(self):
         with pytest.raises(DataError, match="not valid JSON"):
             parse_description("{nope")
+        with pytest.raises(DataError, match=re.escape("not valid JSON: Exceeds the limit (4300 digits)")):
+            parse_description('{"columns": [' + "1" * 4_301 + "]}")
 
     def test_missing_columns(self):
         with pytest.raises(DataError, match="'columns'"):
@@ -634,6 +636,23 @@ class TestDumpLoad:
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             database_from_dict(json.loads(json.dumps(doc)))
 
+    @pytest.mark.parametrize("key, value", [("records", "924"), ("partition_sizes", "21"), ("goal_labels", "ny")])
+    def test_load_takes_only_lists(self, key, value):
+        """A string where a list belongs is an error, not read one character
+        at a time."""
+        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
+        doc[key] = value
+        message = f"malformed database dump: {key!r} must be a list, not str"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            database_from_dict(doc)
+
+    def test_load_names_a_record_too_long_to_read(self):
+        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
+        doc["records"][1] = "1" * 4_301  # past Python's 4,300-digit limit on integer text
+        message = "malformed database dump: record 1: 'records' value: Exceeds the limit (4300 digits)"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            database_from_dict(doc)
+
     @pytest.mark.parametrize(
         "key, index, field, value",
         [
@@ -677,6 +696,9 @@ class TestDumpLoad:
         path = tmp_path / "bad.json"
         path.write_text("{]")
         with pytest.raises(DataError, match="not valid JSON"):
+            load_database(path)
+        path.write_text('{"records": [' + "1" * 4_301 + "]}")
+        with pytest.raises(DataError, match=re.escape("not valid JSON: Exceeds the limit (4300 digits)")):
             load_database(path)
 
     def test_load_rejects_undecodable_bytes(self, tmp_path):
@@ -865,92 +887,6 @@ class TestCsvHeader:
         for command in ("preprocess", "mine"):
             assert main([command, "--db", str(db), "--dbd", str(dbd)]) == 3
             assert capsys.readouterr().err == f"error: {message}\n"
-
-
-# one bad cell or bad row, each made from a row's cells; two defects may
-# fall on one row, so each keeps whatever cells it does not replace
-DEFECTS = {
-    "missing cell": lambda cells: [cells[0], "", *cells[2:]],
-    "short row": lambda cells: cells[:2],
-    "extra cell": lambda cells: cells + ["9"],
-    "bad label": lambda cells: [cells[0], "green", *cells[2:]],
-    "digit groups": lambda cells: ["1_0", *cells[1:]],
-    "not a number": lambda cells: ["nan", *cells[1:]],
-    "padded number": lambda cells: [" 25", *cells[1:]],
-    "non-ASCII digits": lambda cells: ["١٥", *cells[1:]],
-}
-
-
-@st.composite
-def csv_lines_with_defects(draw):
-    """Data lines of a ``DESC`` table, 1-700 rows, with one or two defects
-    at random rows and optional blank lines."""
-    rng = draw(st.randoms(use_true_random=False))
-    count = draw(st.integers(1, 700))
-    temps = ["5", "10", "12.5", "-3e1", "20", "25"]
-    rows = [
-        [rng.choice(temps), rng.choice(["red", "blue"]), rng.choice(["no", "yes"])]
-        for _ in range(count)
-    ]
-    for _ in range(draw(st.integers(1, 2))):
-        at = draw(st.integers(0, count - 1))
-        rows[at] = DEFECTS[draw(st.sampled_from(sorted(DEFECTS)))](rows[at])
-    lines = [",".join(row) for row in rows]
-    for at in sorted(draw(st.lists(st.integers(0, count), max_size=4)), reverse=True):
-        lines.insert(at, "")
-    return lines
-
-
-def encode_lines_row_by_row(lines, descriptors, skip_missing):
-    """Reference for ``preprocess_csv``: each non-blank line split on commas,
-    checked for extra cells and encoded alone with ``encode_row``. Returns
-    ``(partitions, skipped_rows)``, or the error text of the first bad row."""
-    catalog = build_catalog(descriptors)
-    names = [d.name for d in descriptors]
-    buckets = [[], []]
-    skipped = 0
-    for number, line in enumerate(filter(None, lines), start=1):
-        cells = line.split(",")
-        if len(cells) > len(names):
-            return f"row {number}: {len(cells)} cells, but the header has {len(names)} columns"
-        try:
-            code, goal = encode_row(dict(zip(names, cells)), descriptors, catalog)
-        except MissingValueError as exc:
-            if skip_missing:
-                skipped += 1
-                continue
-            return f"row {number}: {exc}"
-        except DataError as exc:
-            return f"row {number}: {exc}"
-        buckets[goal].append(code)
-    if not any(buckets):
-        return "no records"
-    return tuple(map(tuple, buckets)), skipped
-
-
-class TestRowByRowReference:
-    """``preprocess_csv`` against ``encode_lines_row_by_row``, on tables of
-    up to 700 rows with defects anywhere in them."""
-
-    @pytest.mark.parametrize("numpy_absent", [False, True], ids=["numpy", "pure_scan"])
-    @given(lines=csv_lines_with_defects())
-    @settings(
-        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-    )
-    def test_matches_row_by_row_reference(self, request, tmp_path_factory, numpy_absent, lines):
-        if numpy_absent:
-            request.getfixturevalue("pure_scan")
-        db, dbd = TestCsv().write_files(tmp_path_factory.mktemp("row_by_row"), lines)
-        descriptors = make_descriptors()
-        for skip_missing in (False, True):
-            expected = encode_lines_row_by_row(lines, descriptors, skip_missing)
-            if isinstance(expected, str):
-                with pytest.raises(DataError) as info:
-                    preprocess_csv(db, dbd, skip_missing=skip_missing)
-                assert str(info.value) == expected
-            else:
-                pdb = preprocess_csv(db, dbd, skip_missing=skip_missing)
-                assert (pdb.partitions, pdb.skipped_rows) == expected
 
 
 def preprocess_outcome(read, skip_missing):
@@ -1349,15 +1285,6 @@ class TestBitmaps:
         monkeypatch.setattr(sys, "byteorder", "big")
         pdb = PartitionedDatabase((Records(words, 2),), ("a",), generic_catalog(m))
         assert_bitmaps_equal(pdb.bitmaps, (self.per_bit(codes, m),))
-
-
-@pytest.mark.usefixtures("pure_scan")
-class TestPreprocessRowByRow(TestPreprocess):
-    """``TestPreprocess`` without numpy, which changes nothing: mapping rows
-    are always encoded row by row, and the bitmap builder is the same with
-    or without numpy. Kept as a check that the mapping path needs no numpy."""
-
-    test_encode_decode_roundtrip = None  # encode_row alone, which has no numpy path
 
 
 @pytest.mark.usefixtures("pure_scan")
