@@ -14,7 +14,6 @@ from .preprocess import (
     build_catalog,
     dump_database,
     encode_row,
-    load_database,
     parse_description,
     preprocess,
     preprocess_csv,
@@ -47,7 +46,6 @@ __all__ = [
     "compute_metrics",
     "dump_database",
     "encode_row",
-    "load_database",
     "mine",
     "parse_description",
     "preprocess",

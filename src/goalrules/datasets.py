@@ -14,12 +14,14 @@ import random
 from statistics import quantiles
 from typing import Sequence
 
+from .errors import DataError
 from .preprocess import (
     CATEGORICAL,
     CONTINUOUS,
     TARGET,
     ColumnDescriptor,
     PartitionedDatabase,
+    build_catalog,
     description_document,
     parse_description,
     preprocess,
@@ -142,6 +144,10 @@ def synthetic_tables(
         full_name = f"categorical feature {j}"
         columns.append(ColumnDescriptor(f"d{j}", CATEGORICAL, f"D{j}", classes, labels, full_name))
     columns.append(ColumnDescriptor("outcome", TARGET, "G", goals, goal_labels, "synthetic outcome"))
+    try:
+        build_catalog(columns)
+    except DataError as exc:  # D1 + category 10 and D11 + category 0 are both D110
+        raise ValueError(f"{exc}: two columns' short names and category numbers spell it") from None
 
     table = []
     for _ in range(rows):

@@ -5,8 +5,10 @@
 # either test run does.
 #
 # With a revision, as in `sh tests/check.sh HEAD`, it then also runs
-# `goalrules preprocess` and `goalrules mine` from that revision's src/ and
-# from the working tree's on the same small `goalrules synth` tables.
+# `goalrules synth` for three small tables from that revision's src/ and from
+# the working tree's, and compares the CSV and description each writes. It
+# then runs `goalrules preprocess` and `goalrules mine` from both on the
+# working tree's tables.
 # `preprocess` runs without --out, so the dump goes to stdout and the report
 # to stderr, and with --out, whose file is compared along with the report;
 # `mine` runs in every format, with and without --negative. One table has
@@ -15,9 +17,9 @@
 # --max-premise-len 1 --negative --format json, the single-property rules
 # that `create_candidates` and `mine_negative` return. The working tree runs
 # twice, with numpy and with numpy blocked, and each run is compared with the
-# revision's. It prints `same` or `DIFF` per comparison (stdout, stderr,
-# exit status and any --out file), 50 lines in all, with lines holding
-# `_seconds` left out, and exits non-zero on any DIFF.
+# revision's. It prints `same` or `DIFF` per comparison (the two synth files;
+# or stdout, stderr, exit status and any --out file), 53 lines in all, with
+# lines holding `_seconds` left out, and exits non-zero on any DIFF.
 cd "$(dirname "$0")/.." || exit 1
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 with_numpy=$?
@@ -29,10 +31,21 @@ wc -l src/goalrules/*.py
 tmp=$(mktemp -d) || exit 1
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/rev" && git archive "$1" src | tar -x -C "$tmp/rev" || exit 1
+status=0
 synth() {  # synth <table> <arguments...>
     table=$1
     shift
-    PYTHONPATH=src python -m goalrules.cli synth --out-db "$tmp/$table.csv" --out-dbd "$tmp/$table.dbd.json" "$@" >/dev/null
+    PYTHONPATH=$tmp/rev/src python -m goalrules.cli synth --out-db "$tmp/before.csv" --out-dbd "$tmp/before.dbd.json" "$@" \
+        >/dev/null || return
+    PYTHONPATH=src python -m goalrules.cli synth --out-db "$tmp/$table.csv" --out-dbd "$tmp/$table.dbd.json" "$@" \
+        >/dev/null || return
+    if cmp -s "$tmp/before.csv" "$tmp/$table.csv" && cmp -s "$tmp/before.dbd.json" "$tmp/$table.dbd.json"; then
+        verdict=same
+    else
+        verdict=DIFF
+        status=1
+    fi
+    echo "$verdict: synth $table $*"
 }
 synth small --rows 300 --seed 1 || exit 1
 synth wide --rows 400 --continuous 22 --categorical 0 --seed 2 || exit 1
@@ -60,7 +73,6 @@ compare() {  # compare <command> <table> <arguments...>
         echo "$verdict$numpy: $*" | sed "s|$tmp/||"
     done
 }
-status=0
 for table in small wide tripled; do
     compare preprocess "$table"
     compare preprocess "$table" --out "$tmp/dump.json"

@@ -1,8 +1,12 @@
-"""Shared helpers: handmade and randomized partitioned databases."""
+"""Shared helpers: handmade and randomized partitioned databases, and a
+reader of ``goalrules preprocess`` dumps."""
 
 from __future__ import annotations
 
+import json
 import random
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,18 @@ def build_pdb(parts: list[list[int]], m: int, labels=None) -> PartitionedDatabas
         partitions=tuple(tuple(part) for part in parts),
         goal_labels=tuple(labels),
         catalog=generic_catalog(m),
+    )
+
+
+def read_dump(path) -> PartitionedDatabase:
+    """The database a dump holds, read without checks: records are decimal
+    strings, split into goals by ``partition_sizes``."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    records = map(int, doc["records"])
+    return PartitionedDatabase(
+        partitions=tuple(tuple(islice(records, n)) for n in doc["partition_sizes"]),
+        goal_labels=tuple(doc["goal_labels"]),
+        catalog=PropertyCatalog(tuple(Property(**p) for p in doc["catalog"])),
     )
 
 

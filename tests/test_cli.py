@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_pdb, random_pdb
+from conftest import build_pdb, random_pdb, read_dump
 from goalrules import (
     MiningConfig,
     PartitionedDatabase,
@@ -23,7 +23,6 @@ from goalrules import (
     PropertyCatalog,
     Rule,
     RuleSet,
-    load_database,
     mine,
     preprocess_csv,
 )
@@ -77,8 +76,9 @@ class TestPreprocessCommand:
         stdout = capsys.readouterr().out
         assert "X0" in stdout and "F1" in stdout
         assert "partitions: g0=20, g1=20 (total 40)" in stdout
-        loaded = load_database(out)
+        loaded = read_dump(out)
         assert loaded.partition_sizes == (20, 20)
+        assert loaded == preprocess_csv(db, dbd)
 
     def test_dump_to_stdout_without_out(self, table, capsys):
         db, dbd = table
@@ -580,6 +580,15 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert err == f"error: cannot write {missing}: No such file or directory\n"
 
+    def test_colliding_property_names_are_config_error(self, tmp_path, capsys):
+        """With 12 columns of 11 classes, D1 + category 10 and D11 + category
+        0 would both name property D110, a table ``mine`` rejects."""
+        db, dbd = str(tmp_path / "s.csv"), str(tmp_path / "s.dbd.json")
+        shape = ["--continuous", "0", "--categorical", "12", "--classes", "11"]
+        assert main(["synth", "--rows", "5", *shape, "--out-db", db, "--out-dbd", dbd]) == 2
+        assert "'D110'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_write_names_both_paths(self, tmp_path, capsys):
         db = str(tmp_path / "s.csv")
@@ -783,8 +792,8 @@ class TestPublicNames:
         "ColumnDescriptor", "ConfigError", "CriteriaWeights", "DataError", "MiningConfig",
         "MissingValueError", "PartitionedDatabase", "Property", "PropertyCatalog", "Rule",
         "RuleMetrics", "RuleSet", "build_catalog", "compute_metrics", "dump_database",
-        "encode_row", "load_database", "mine", "parse_description", "preprocess",
-        "preprocess_csv", "read_table", "recommended_min_correlation",
+        "encode_row", "mine", "parse_description", "preprocess", "preprocess_csv",
+        "read_table", "recommended_min_correlation",
     ]
 
     def test_all_is_the_kept_list(self):

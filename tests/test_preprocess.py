@@ -22,7 +22,6 @@ from goalrules import (
     build_catalog,
     dump_database,
     encode_row,
-    load_database,
     parse_description,
     preprocess,
     preprocess_csv,
@@ -35,7 +34,6 @@ from goalrules.preprocess import (
     _compile,
     _encode,
     _Encoder,
-    database_from_dict,
     database_to_dict,
     replicate,
     set_bits,
@@ -43,7 +41,7 @@ from goalrules.preprocess import (
 from goalrules.cli import main
 from goalrules.datasets import save_tables, synthetic_tables
 
-from conftest import assert_bitmaps_equal, assert_rulesets_equal, generic_catalog, multiset_root
+from conftest import assert_bitmaps_equal, assert_rulesets_equal, generic_catalog, multiset_root, read_dump
 from oracle import from_database, oracle_mine
 
 DESC = {
@@ -124,10 +122,16 @@ class TestParseDescription:
         with pytest.raises(DataError, match="at least 2"):
             make_descriptors(doc)
 
-    @pytest.mark.parametrize("classes", [2.9, 2.5, True, math.inf, math.nan])
+    @pytest.mark.parametrize("classes", [2.9, 2.5, True, math.inf, math.nan, " 3 ", "1_0", "\u0663", "3.0"])
     def test_class_count_not_an_integer(self, classes):
         doc = variant(col=1, classes=classes)
         with pytest.raises(DataError, match="column 'color': bad 'classes' value"):
+            make_descriptors(doc)
+
+    def test_class_count_past_the_digit_limit(self):
+        doc = variant(col=1, classes="1" * 4_301)  # past Python's 4,300-digit limit on integer text
+        message = "column 'color': 'classes' value: Exceeds the limit (4300 digits)"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
             make_descriptors(doc)
 
     def test_integral_class_count_accepted(self):
@@ -497,44 +501,12 @@ class TestEncoderMatchesReference:
 
 
 class TestDatabaseInvariants:
-    def dump(self, sizes) -> dict:
-        pdb = PartitionedDatabase(((1,), (2,)), ("a", "b"), generic_catalog(2))
-        doc = database_to_dict(pdb)
-        doc["partition_sizes"] = list(sizes)
-        return doc
-
-    def test_size_sum_must_match(self):
-        with pytest.raises(DataError, match="sum"):
-            database_from_dict(self.dump((1, 2)))
-
     def test_label_count_must_match(self):
         with pytest.raises(DataError, match="per goal label"):
             PartitionedDatabase(((1,), ()), ("a",), generic_catalog(2))
-        with pytest.raises(DataError, match="per goal label"):
-            database_from_dict(self.dump((1, 1, 0)))
-
-    def test_negative_size(self):
-        with pytest.raises(DataError, match="non-negative"):
-            database_from_dict(self.dump((-1, 3)))
-
-    def test_sizes_split_records_into_partitions(self):
-        loaded = database_from_dict(self.dump((0, 2)))
-        assert loaded.partitions == ((), (1, 2))
-        assert loaded.partition_sizes == (0, 2)
-        assert loaded.total == 2
 
 
-class TestDumpLoad:
-    def test_roundtrip(self, tmp_path):
-        pdb = preprocess(TestPreprocess().rows(), make_descriptors())
-        path = tmp_path / "db.json"
-        dump_database(pdb, path)
-        loaded = load_database(path)
-        assert loaded.records == pdb.records
-        assert loaded.partition_sizes == pdb.partition_sizes
-        assert loaded.goal_labels == pdb.goal_labels
-        assert loaded.catalog == pdb.catalog
-
+class TestDump:
     def test_records_are_decimal_strings(self):
         pdb = preprocess(TestPreprocess().rows(), make_descriptors())
         doc = database_to_dict(pdb)
@@ -548,169 +520,6 @@ class TestDumpLoad:
             "category": 0,
             "full_name": "temp < 10",
         }
-
-    def test_load_rejects_out_of_range_codes(self, tmp_path):
-        pdb = preprocess(TestPreprocess().rows(), make_descriptors())
-        doc = database_to_dict(pdb)
-        doc["records"][0] = "32"  # above the 5-property catalog
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="code out of catalog range"):
-            load_database(path)
-
-    @pytest.mark.parametrize("index, record", [(0, 32), (2, 0), (1, 64)])
-    def test_load_names_the_record_out_of_catalog_range(self, index, record):
-        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
-        doc["records"][index] = str(record)
-        message = f"record {index}: code out of catalog range: {record}"
-        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            database_from_dict(doc)
-
-    @pytest.mark.parametrize("index, record, column", [(0, 0b00111, "temp"), (2, 0b11001, "color")])
-    def test_load_rejects_two_properties_of_one_column(self, index, record, column):
-        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
-        doc["records"][index] = str(record)
-        message = f"^record {index}: more than one property of column '{column}'$"
-        with pytest.raises(DataError, match=message):
-            database_from_dict(doc)
-
-    @given(case=described_rows(), data=st.data())
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_load_rejects_a_second_property_of_any_column(self, tmp_path_factory, case, data):
-        descs, rows = case
-        pdb = preprocess(rows, descs)
-        path = tmp_path_factory.mktemp("dump") / "db.json"
-        dump_database(pdb, path)
-        assert load_database(path).partitions == pdb.partitions
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        index = data.draw(st.integers(0, len(doc["records"]) - 1))
-        record = int(doc["records"][index])
-        column = data.draw(st.sampled_from([d.name for d in descs if not d.is_target]))
-        unset = [p["index"] for p in doc["catalog"] if p["column"] == column and not record >> p["index"] & 1]
-        doc["records"][index] = str(record | 1 << data.draw(st.sampled_from(unset)))
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        message = f"record {index}: more than one property of column {column!r}"
-        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            load_database(path)
-
-    def test_load_takes_several_properties_of_distinct_columns(self):
-        pdb = PartitionedDatabase(((0b111,), (0b110,)), ("a", "b"), generic_catalog(3))
-        assert database_from_dict(database_to_dict(pdb)).partitions == pdb.partitions
-
-    def test_load_rejects_repeated_property_name(self, tmp_path):
-        pdb = preprocess(TestPreprocess().rows(), make_descriptors())
-        doc = database_to_dict(pdb)
-        doc["catalog"][4]["name"] = "T0"
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="duplicate property name 'T0'"):
-            load_database(path)
-
-    @pytest.mark.parametrize(
-        "key, index, field, value",
-        [
-            ("records", 0, None, 9.5),
-            ("records", 0, None, " 9 "),
-            ("records", 0, None, "1_0"),
-            ("records", 0, None, "\u0669"),  # an Arabic-Indic 9
-            ("records", 0, None, True),
-            ("partition_sizes", 0, None, 2.5),
-            ("catalog", 0, "index", 0.0),
-            ("catalog", 1, "category", True),
-            ("records", 2, None, "9.0"),
-            ("partition_sizes", 1, None, None),
-            ("catalog", 3, "index", "3 "),
-            ("catalog", 4, "category", -0.5),
-        ],
-    )
-    def test_load_takes_only_whole_numbers(self, key, index, field, value):
-        """A bad number is named by its place, as a bad text field is."""
-        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
-        if field is None:
-            doc[key][index] = value
-            item = {"records": "record", "partition_sizes": "partition"}[key]
-            message = f"malformed database dump: {item} {index}: bad {key!r} value {value!r}"
-        else:
-            doc[key][index][field] = value
-            message = f"malformed database dump: property {index}: bad {field!r} value {value!r}"
-        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            database_from_dict(json.loads(json.dumps(doc)))
-
-    @pytest.mark.parametrize("key, value", [("records", "924"), ("partition_sizes", "21"), ("goal_labels", "ny")])
-    def test_load_takes_only_lists(self, key, value):
-        """A string where a list belongs is an error, not read one character
-        at a time."""
-        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
-        doc[key] = value
-        message = f"malformed database dump: {key!r} must be a list, not str"
-        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            database_from_dict(doc)
-
-    def test_load_names_a_record_too_long_to_read(self):
-        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
-        doc["records"][1] = "1" * 4_301  # past Python's 4,300-digit limit on integer text
-        message = "malformed database dump: record 1: 'records' value: Exceeds the limit (4300 digits)"
-        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
-            database_from_dict(doc)
-
-    @pytest.mark.parametrize(
-        "key, index, field, value",
-        [
-            ("goal_labels", 0, None, None),
-            ("goal_labels", 1, None, True),
-            ("catalog", 0, "name", None),
-            ("catalog", 1, "name", ["T1"]),
-            ("catalog", 2, "column", None),
-            ("catalog", 3, "column", {}),
-            ("catalog", 4, "full_name", False),
-        ],
-    )
-    def test_load_takes_only_text(self, key, index, field, value):
-        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
-        if field is None:
-            doc[key][index] = value
-            message = f"malformed database dump: bad {key!r} value {value!r}"
-        else:
-            doc[key][index][field] = value
-            message = f"malformed database dump: property {index}: bad {field!r} value {value!r}"
-        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            database_from_dict(json.loads(json.dumps(doc)))
-
-    @pytest.mark.parametrize("labels", [["no", "no"], ["7", 7]], ids=["text", "text_and_number"])
-    def test_load_rejects_a_repeated_goal_label(self, labels):
-        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
-        doc["goal_labels"] = labels
-        message = f"malformed database dump: duplicate goal label {str(labels[0])!r}"
-        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            database_from_dict(doc)
-
-    def test_load_reads_a_number_as_its_text(self):
-        doc = database_to_dict(preprocess(TestPreprocess().rows(), make_descriptors()))
-        doc["goal_labels"][1] = 7
-        doc["catalog"][2]["full_name"] = 2.5
-        pdb = database_from_dict(doc)
-        assert pdb.goal_labels == ("no", "7")
-        assert pdb.catalog[2].full_name == "2.5"
-
-    def test_load_rejects_bad_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{]")
-        with pytest.raises(DataError, match="not valid JSON"):
-            load_database(path)
-        path.write_text('{"records": [' + "1" * 4_301 + "]}")
-        with pytest.raises(DataError, match=re.escape("not valid JSON: Exceeds the limit (4300 digits)")):
-            load_database(path)
-
-    def test_load_rejects_undecodable_bytes(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_bytes(b'{"records": ["\xff"]}')
-        with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: .*0xff"):
-            load_database(path)
-
-    def test_load_missing_file_names_the_path(self, tmp_path):
-        missing = tmp_path / "nope.json"
-        with pytest.raises(DataError, match=re.escape(f"cannot read {missing}: No such file")):
-            load_database(missing)
 
 
 class TestReplicate:
@@ -1457,7 +1266,7 @@ class TestRecordWidths:
         rows = [dict(zip(names, cells)) for cells in lines]
         self.assert_packed(preprocess(rows, make_descriptors(doc)), m, expected)
         dump_database(pdb, tmp_path / "dump.json")
-        self.assert_packed(load_database(tmp_path / "dump.json"), m, expected)
+        self.assert_packed(read_dump(tmp_path / "dump.json"), m, expected)
         self.assert_packed(replicate(pdb, 3), m, tuple(part * 3 for part in expected))
 
     @pytest.mark.parametrize("m", WIDTHS)
