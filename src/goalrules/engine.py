@@ -8,9 +8,9 @@ top bit, so every premise set is generated exactly once, and each extension
 ANDs one more property bitmap onto the bitmaps of its parent's premise (the
 path bitmaps) instead of recounting the whole premise. The walk's first
 level is the single-property rules, and it is the one place where positive
-rules are made and marked final. The walk counts on the table's multiset
-root (``_Root``): a table written k times is walked once, with every count
-scaled back up by k.
+rules are made and marked final, in one bucket per premise length. The walk
+counts on the table's multiset root (``_Root``): a table written k times is
+walked once, with every count scaled back up by k.
 
 Every decision compares two integer products of a rule's counts with
 constants fixed per goal (``_Bounds``); floats are made only for output.
@@ -18,12 +18,13 @@ constants fixed per goal (``_Bounds``); floats are made only for output.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import ConfigError
@@ -62,8 +63,9 @@ class Rule(NamedTuple):
     ``metrics`` derives the float criteria from the counts and ``basis``, the
     goal's ``(n_k, total, weights)``. ``final`` marks rules the search will
     not expand further; ``negative`` marks single-property rules arguing
-    against the goal. A named tuple: several times cheaper to build than a
-    frozen dataclass, and the search builds one per kept premise.
+    against the goal. The search builds one per kept premise with
+    ``tuple.__new__``: several times cheaper than a frozen dataclass, and
+    cheaper than the named tuple's own ``__new__``, a Python function.
     """
 
     premise: int
@@ -140,10 +142,6 @@ class _Bounds(NamedTuple):
         negative = total * neg.denominator, n_k * (neg.denominator + neg.numerator)
         return cls(*above(low), *above(stop), min_sup_k, *negative)
 
-    def stops(self, sup_k: int, sup: int) -> bool:
-        """Whether ``corr >= corr_stop`` or ``f_all < min_f_all``."""
-        return sup_k * self.stop_a >= sup * self.stop_b or sup_k < self.min_sup_k
-
 
 class _Root(NamedTuple):
     """The table's multiset root, the smallest table the search can count
@@ -209,17 +207,18 @@ def _goal_rules(
     ``root.g``, as ``sup_k``; only when that is not 0 does it AND and count
     the outside pair, which gives ``sup - sup_k``. It is dropped at no
     support in the goal or a correlation below ``min_corr``; otherwise it is
-    a rule, final when it holds the top candidate or ``stops``, and walked
-    at once unless final or at ``max_premise_len``. Its parent's tries
-    resume after it, so the stack holds only the current path. Every test
-    is on the goal's integer ``_Bounds`` with the full table's counts.
+    a rule, final when it holds the top candidate, its correlation reaches
+    ``corr_stop`` or its ``f_all`` is under ``min_f_all``, and walked at
+    once unless final or at ``max_premise_len``. Its parent's tries resume
+    after it, so the stack holds only the current path. Every test is on the
+    goal's integer ``_Bounds`` with the full table's counts. Rules go to one
+    bucket per premise length, so each bucket is sorted by premise code alone.
     """
     g, sizes = root.g, root.sizes
     basis = (sizes[goal] * g, sum(sizes) * g, config.weights)
     if not 0 < basis[0] < basis[1]:
         return [], []
-    bounds = _Bounds.of(basis[0], basis[1], config)
-    corr_a, corr_b, stops = bounds.corr_a, bounds.corr_b, bounds.stops
+    corr_a, corr_b, stop_a, stop_b, min_sup_k, neg_a, neg_b = _Bounds.of(basis[0], basis[1], config)
     candidates: list[int] = []
     negative: list[Rule] = []
     for i, (sup_k, sup) in enumerate(zip(counts, sups)):
@@ -227,15 +226,17 @@ def _goal_rules(
             continue
         if sup_k * corr_a > sup * corr_b:
             candidates.append(i)
-        elif sup_k * bounds.neg_a <= sup * bounds.neg_b:
+        elif sup_k * neg_a <= sup * neg_b:
             negative.append(Rule(1 << i, 1, goal, sup_k, sup, basis, final=True, negative=True))
     n = len(candidates)
-    limit = config.max_premise_len or n
+    limit = min(config.max_premise_len or n, n)
     columns = [root.pair(goal, i) for i in candidates]
-    rules: list[Rule] = []
+    buckets: list[list[Rule]] = [[] for _ in range(limit + 1)]  # [L]: rules grown from length L
+    new = tuple.__new__
     stack = [(0, 0, (1 << sizes[goal]) - 1, (1 << sum(sizes) - sizes[goal]) - 1, iter(range(n)))]
     while stack:
         premise, length, inside, outside, tries = stack[-1]
+        bucket, length = buckets[length], length + 1
         for j in tries:
             bits_in, bits_out = columns[j]
             grown_in = inside & bits_in
@@ -247,15 +248,16 @@ def _goal_rules(
             if sup_k * corr_a < sup * corr_b:  # corr < min_corr
                 continue
             child = premise | 1 << candidates[j]
-            final = j == n - 1 or stops(sup_k, sup)
-            rules.append(Rule(child, length + 1, goal, sup_k, sup, basis, final))
-            if not final and length + 1 < limit:
-                stack.append((child, length + 1, grown_in, grown_out, iter(range(j + 1, n))))
+            final = j == n - 1 or sup_k * stop_a >= sup * stop_b or sup_k < min_sup_k
+            bucket.append(new(Rule, (child, length, goal, sup_k, sup, basis, final, False)))
+            if not final and length < limit:
+                stack.append((child, length, grown_in, grown_out, iter(range(j + 1, n))))
                 break  # walk the child now; this premise's tries resume after it
         else:
             stack.pop()  # every try made
-    rules.sort(key=attrgetter("premise_len", "premise"))
-    return rules, negative
+    for bucket in buckets:
+        bucket.sort(key=itemgetter(0))
+    return list(chain.from_iterable(buckets)), negative
 
 
 def check_threads(threads: int) -> None:
@@ -270,16 +272,23 @@ def mine(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> RuleSe
     One popcount of each property bitmap gives the property's count per
     goal, and their column sums its count in the table. ``_Root.of`` builds
     the table's multiset root from them once; ``_goal_rules`` then makes
-    each goal's rules on it. ``threads`` is accepted for compatibility and
-    must be >= 1; the search runs sequentially, so results are identical
-    for any value.
+    each goal's rules on it with the cyclic garbage collector paused, as the
+    walks make no cycles, then restores the caller's setting. ``threads`` is
+    accepted for compatibility and must be >= 1; the search runs
+    sequentially, so results are identical for any value.
     """
     check_threads(threads)
     config = config or MiningConfig()
     counts = [[bits.bit_count() for bits in maps] for maps in pdb.bitmaps]
     sups = [sum(column) for column in zip(*counts)]
     root = _Root.of(pdb, counts)
-    groups = [_goal_rules(goal, row, sups, root, config) for goal, row in enumerate(counts)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        groups = [_goal_rules(goal, row, sups, root, config) for goal, row in enumerate(counts)]
+    finally:
+        if enabled:
+            gc.enable()
     return RuleSet(tuple(tuple(p) for p, _ in groups), tuple(tuple(n) for _, n in groups))
 
 

@@ -287,23 +287,23 @@ def build_catalog(descriptors: Sequence[ColumnDescriptor]) -> PropertyCatalog:
 
 
 def _compile(descriptors: Sequence[ColumnDescriptor], catalog: PropertyCatalog) -> list[tuple]:
-    """One ``(name, bounds, labels, codes)`` entry per column: continuous
+    """One ``(name, bounds, labels, bits)`` entry per column: continuous
     columns carry their bin boundaries, the others a label -> category dict
-    (without ``""``, which is a missing cell, never a label); ``codes[c]`` is
-    the bit of category c, and ``None`` for the target."""
+    (without ``""``, which is a missing cell, never a label); ``bits[c]`` is
+    the bit index of category c, and ``None`` for the target."""
     if len(catalog) == 0:
         raise DataError("no input columns")
-    bits: dict[str, list[int]] = {}
+    indices: dict[str, list[int]] = {}
     for prop in catalog:
-        bits.setdefault(prop.column, []).append(prop.code)
+        indices.setdefault(prop.column, []).append(prop.index)
     columns = []
     for desc in descriptors:
-        codes = None if desc.is_target else tuple(bits[desc.name])
+        bits = None if desc.is_target else tuple(indices[desc.name])
         if desc.kind == CONTINUOUS:
-            columns.append((desc.name, desc.values, None, codes))
+            columns.append((desc.name, desc.values, None, bits))
         else:
             labels = {v: i for i, v in enumerate(desc.values) if v != ""}
-            columns.append((desc.name, None, labels, codes))
+            columns.append((desc.name, None, labels, bits))
     return columns
 
 
@@ -320,7 +320,7 @@ def _encode(cells: Sequence, columns: Sequence[tuple]) -> tuple[int, int]:
         raise DataError(f"{len(cells)} cells, but the header has {len(columns)} columns")
     code = 0
     goal = -1
-    for raw, (name, bounds, labels, codes) in zip_longest(cells, columns):
+    for raw, (name, bounds, labels, bits) in zip_longest(cells, columns):
         if raw is not None and not isinstance(raw, str):
             raise DataError(f"non-text value {raw!r} in column {name!r}")
         if not raw:
@@ -340,10 +340,10 @@ def _encode(cells: Sequence, columns: Sequence[tuple]) -> tuple[int, int]:
             category = labels.get(raw)
             if category is None:
                 raise DataError(f"unknown label {raw!r} in column {name!r}")
-        if codes is None:
+        if bits is None:
             goal = category
         else:
-            code |= codes[category]
+            code |= 1 << bits[category]
     return code, goal
 
 
@@ -573,14 +573,14 @@ def _plain_block(lines: Sequence[str]) -> bool:
     return len(text) <= limit or max(map(len, lines)) <= limit
 
 
-def _lookup(codes: Sequence[int], width: int):
-    """The one-bit ``codes`` as a numpy matrix of ``width`` uint64 limbs a
-    row, set a bit at a time: ``_limbs`` of each code makes labels x width
-    ints (15,000 labels at width 235: 0.02 s, against 0.7 s that way, on a
-    2-vCPU host)."""
-    limbs, shifts = zip(*(divmod(code.bit_length() - 1, _LIMB_BITS) for code in codes))
-    table = _np.zeros((len(codes), width), _np.uint64)
-    table[_np.arange(len(codes)), limbs] = _np.array([1 << shift for shift in shifts], _np.uint64)
+def _lookup(bits: Sequence[int], width: int):
+    """The one-bit codes of bit indices ``bits`` as a numpy matrix of
+    ``width`` uint64 limbs a row, set a bit at a time: ``_limbs`` of each
+    code makes labels x width ints (15,000 labels at width 235: 0.02 s,
+    against 0.7 s that way, on a 2-vCPU host)."""
+    limbs, shifts = zip(*(divmod(bit, _LIMB_BITS) for bit in bits))
+    table = _np.zeros((len(bits), width), _np.uint64)
+    table[_np.arange(len(bits)), limbs] = _np.array([1 << shift for shift in shifts], _np.uint64)
     return table
 
 
@@ -604,9 +604,9 @@ class _Encoder:
                 (
                     None if bounds is None else _np.array(bounds, dtype=float),
                     labels,
-                    None if codes is None else _lookup(codes, width),
+                    None if bits is None else _lookup(bits, width),
                 )
-                for _, bounds, labels, codes in self.columns
+                for _, bounds, labels, bits in self.columns
             ]
             # one character over the longest label: a longer cell that numpy
             # cuts short can never equal a label

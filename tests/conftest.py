@@ -96,6 +96,7 @@ def assert_rulesets_equal(left: RuleSet, right: RuleSet, tol: float = 0.0) -> No
             for a, b in zip(a_group, b_group):
                 assert (a.premise, a.premise_len, a.goal) == (b.premise, b.premise_len, b.goal)
                 assert (a.sup_k, a.sup, a.final, a.negative) == (b.sup_k, b.sup, b.final, b.negative)
+                assert type(a) is type(b) is engine.Rule and a == b  # basis and field order too
                 for field in ("f_g", "f_all", "confidence", "lift", "correlation", "quality"):
                     av = getattr(a.metrics, field)
                     bv = getattr(b.metrics, field)

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -288,6 +289,29 @@ class TestMine:
             mine(pdb, threads=threads)
         with pytest.raises(ConfigError, match="thread count"):
             mine_negative(pdb, threads=threads)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_left_as_found(self, enabled, monkeypatch):
+        """``mine`` pauses the cyclic collector for the walks and restores the
+        caller's state, also when a walk raises."""
+        found = gc.isenabled()
+        walking = []
+
+        def failing_walk(*args):
+            walking.append(gc.isenabled())
+            raise RuntimeError("walk failed")
+
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert mine(corr_drop_pdb()).positive[0]
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(engine, "_goal_rules", failing_walk)
+            with pytest.raises(RuntimeError, match="walk failed"):
+                mine(corr_drop_pdb())
+            assert walking == [False]
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if found else gc.disable()
 
     def test_duplication_preserves_criteria_exactly(self):
         rng = random.Random(41)

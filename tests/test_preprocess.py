@@ -348,6 +348,17 @@ class TestEncodeRow:
         with pytest.raises(DataError, match="^4 cells, but the header has 3 columns$"):
             encode_row(row, descs, build_catalog(descs))
 
+    def test_columns_hold_bit_indices(self):
+        """``_compile`` gives each category its bit index, not its one-bit
+        code: a code is an int of up to m bits, so codes for every label of a
+        wide column would take labels x m bits."""
+        descs = make_descriptors()
+        assert _compile(descs, build_catalog(descs)) == [
+            ("temp", (10.0, 20.0), None, (0, 1, 2)),
+            ("color", None, {"red": 0, "blue": 1}, (3, 4)),
+            ("label", None, {"no": 0, "yes": 1}, None),
+        ]
+
     def test_target_only_description(self):
         descs = [ColumnDescriptor("label", "target", "Y", 2, ("no", "yes"), "label")]
         catalog = build_catalog(descs)
