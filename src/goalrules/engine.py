@@ -9,8 +9,9 @@ ANDs one more property bitmap onto the bitmaps of its parent's premise (the
 path bitmaps) instead of recounting the whole premise. The walk's first
 level is the single-property rules, and it is the one place where positive
 rules are made and marked final, in one bucket per premise length. The walk
-counts on the table's multiset root (``_Root``): a table written k times is
-walked once, with every count scaled back up by k.
+counts on the table's multiset root (``_root``), a ``PartitionedDatabase``
+like the table: a table written k times is walked once, with every count
+scaled back up by k.
 
 Every decision compares two integer products of a rule's counts with
 constants fixed per goal (``_Bounds``); floats are made only for output.
@@ -143,78 +144,59 @@ class _Bounds(NamedTuple):
         return cls(*above(low), *above(stop), min_sup_k, *negative)
 
 
-class _Root(NamedTuple):
-    """The table's multiset root, the smallest table the search can count
-    on. ``g`` is the largest integer dividing every code's multiplicity in
-    every goal; goal k's root holds each of its codes multiplicity/g times,
-    so a premise's count in goal k is exactly ``g`` times its count over
-    ``bitmaps[k]``, the root's property bitmaps (``sizes`` are the root's
-    partition sizes). On a table with g = 1 the root is the table itself.
-    """
-
-    g: int
-    bitmaps: tuple[tuple[int, ...], ...]
-    sizes: tuple[int, ...]
-
-    @classmethod
-    def of(cls, pdb, counts: list[list[int]]) -> "_Root":
-        """The root of ``pdb``, whose property counts are ``counts``. g
-        divides every partition size and every property count, so their gcd
-        bounds it for free; the codes are tallied only when that gcd exceeds
-        1, never on a table of distinct rows."""
-        g = gcd(*pdb.partition_sizes, *chain.from_iterable(counts))
-        if g > 1:
-            tallies = [Counter(part) for part in pdb.partitions]
-            g = gcd(g, *chain.from_iterable(tally.values() for tally in tallies))
-        if g <= 1:
-            return cls(1, pdb.bitmaps, pdb.partition_sizes)
-        parts = tuple(
-            tuple(chain.from_iterable(repeat(code, n // g) for code, n in tally.items()))
-            for tally in tallies
-        )
-        root = replace(pdb, partitions=parts)
-        return cls(g, root.bitmaps, root.partition_sizes)
-
-    def pair(self, goal: int, i: int) -> tuple[int, int]:
-        """Property i's root bitmap inside ``goal``, and over the other
-        goals' root records, concatenated in goal order."""
-        outside, shift = 0, 0
-        for k, (maps, size) in enumerate(zip(self.bitmaps, self.sizes)):
-            if k != goal:
-                outside |= maps[i] << shift
-                shift += size
-        return self.bitmaps[goal][i], outside
+def _root(pdb, counts: list[list[int]]):
+    """``(g, root)``: the table's multiset root, the smallest table the
+    search can count on. ``g`` is the largest integer dividing every code's
+    multiplicity in every goal; goal k's root partition holds each of its
+    codes multiplicity/g times, so a premise's count in goal k is exactly
+    ``g`` times its count over the root's bitmaps. With g = 1 the root is
+    ``pdb`` itself. g divides every partition size and every property count
+    in ``counts``, so their gcd bounds it for free; the codes are tallied
+    only when that gcd exceeds 1, never on a table of distinct rows."""
+    g = gcd(*pdb.partition_sizes, *chain.from_iterable(counts))
+    if g > 1:
+        tallies = [Counter(part) for part in pdb.partitions]
+        g = gcd(g, *chain.from_iterable(tally.values() for tally in tallies))
+    if g <= 1:
+        return 1, pdb
+    parts = tuple(
+        tuple(chain.from_iterable(repeat(code, n // g) for code, n in tally.items()))
+        for tally in tallies
+    )
+    return g, replace(pdb, partitions=parts)
 
 
 def _goal_rules(
-    goal: int, counts: Sequence[int], sups: Sequence[int], root: _Root, config: MiningConfig
+    goal: int, counts: Sequence[int], sups: Sequence[int], g: int, root, config: MiningConfig
 ) -> tuple[list[Rule], list[Rule]]:
     """``goal``'s positive rules, sorted by premise length, then premise
     code, and its negative rules, in code order, from ``counts``, each
-    property's count in the goal, and ``sups``, its count in the table. A
-    goal that is empty or holds every record gets neither; correlation
+    property's count in the goal, and ``sups``, its count in the table.
+    ``root`` is the table's multiset root and ``g`` its factor (``_root``).
+    A goal that is empty or holds every record gets neither; correlation
     carries no signal there.
 
     One pass over the single properties takes those whose correlation
     exceeds ``min_corr`` as candidates, in ascending order, and makes a
-    negative rule of each at or below ``neg_corr``. The positive rules then
-    grow in a depth-first walk on an explicit stack of kept premises, from
-    the empty one with the root's all-ones pair. Each entry holds the AND of
-    its premise's root bitmaps inside the goal and outside it (the path
-    bitmaps, from ``root.pair``) and an iterator over the candidates above
-    its top bit, so every premise set is reached once. A try ANDs the
-    candidate's inside bitmap onto the inside path and counts it, times
-    ``root.g``, as ``sup_k``; only when that is not 0 does it AND and count
-    the outside pair, which gives ``sup - sup_k``. It is dropped at no
-    support in the goal or a correlation below ``min_corr``; otherwise it is
-    a rule, final when it holds the top candidate, its correlation reaches
-    ``corr_stop`` or its ``f_all`` is under ``min_f_all``, and walked at
-    once unless final or at ``max_premise_len``. Its parent's tries resume
-    after it, so the stack holds only the current path. Every test is on the
-    goal's integer ``_Bounds`` with the full table's counts. Rules go to one
-    bucket per premise length, so each bucket is sorted by premise code alone.
+    negative rule of each at or below ``neg_corr``. Each candidate has two
+    root bitmaps: the goal's, and the other goals', concatenated in goal
+    order. The positive rules then grow in a depth-first walk on an explicit
+    stack of kept premises, from the empty one with all-ones bitmaps. Each
+    entry holds the AND of its premise's two kinds of bitmap (the path
+    bitmaps) and an iterator over the candidates above its top bit, so every
+    premise set is reached once. A try ANDs the candidate's goal bitmap onto
+    the inside path and counts it, times ``g``, as ``sup_k``; only when that
+    is not 0 does it AND and count the outside pair, which gives ``sup -
+    sup_k``. It is dropped at no support in the goal or a correlation below
+    ``min_corr``; otherwise it is a rule, final when it holds the top
+    candidate, its correlation reaches ``corr_stop`` or its ``f_all`` is
+    under ``min_f_all``, and walked at once unless final or at
+    ``max_premise_len``. Its parent's tries resume after it, so the stack
+    holds only the current path. Every test is on the goal's integer
+    ``_Bounds`` with the full table's counts. Rules go to one bucket per
+    premise length, so each bucket is sorted by premise code alone.
     """
-    g, sizes = root.g, root.sizes
+    bitmaps, sizes = root.bitmaps, root.partition_sizes
     basis = (sizes[goal] * g, sum(sizes) * g, config.weights)
     if not 0 < basis[0] < basis[1]:
         return [], []
@@ -230,7 +212,14 @@ def _goal_rules(
             negative.append(Rule(1 << i, 1, goal, sup_k, sup, basis, final=True, negative=True))
     n = len(candidates)
     limit = min(config.max_premise_len or n, n)
-    columns = [root.pair(goal, i) for i in candidates]
+    columns = []
+    for i in candidates:
+        outside, shift = 0, 0
+        for k, (maps, size) in enumerate(zip(bitmaps, sizes)):
+            if k != goal:
+                outside |= maps[i] << shift
+                shift += size
+        columns.append((bitmaps[goal][i], outside))
     buckets: list[list[Rule]] = [[] for _ in range(limit + 1)]  # [L]: rules grown from length L
     new = tuple.__new__
     stack = [(0, 0, (1 << sizes[goal]) - 1, (1 << sum(sizes) - sizes[goal]) - 1, iter(range(n)))]
@@ -270,7 +259,7 @@ def mine(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> RuleSe
     """Mine the positive and negative rules of every goal class.
 
     One popcount of each property bitmap gives the property's count per
-    goal, and their column sums its count in the table. ``_Root.of`` builds
+    goal, and their column sums its count in the table. ``_root`` builds
     the table's multiset root from them once; ``_goal_rules`` then makes
     each goal's rules on it with the cyclic garbage collector paused, as the
     walks make no cycles, then restores the caller's setting. ``threads`` is
@@ -281,11 +270,11 @@ def mine(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> RuleSe
     config = config or MiningConfig()
     counts = [[bits.bit_count() for bits in maps] for maps in pdb.bitmaps]
     sups = [sum(column) for column in zip(*counts)]
-    root = _Root.of(pdb, counts)
+    g, root = _root(pdb, counts)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        groups = [_goal_rules(goal, row, sups, root, config) for goal, row in enumerate(counts)]
+        groups = [_goal_rules(goal, row, sups, g, root, config) for goal, row in enumerate(counts)]
     finally:
         if enabled:
             gc.enable()

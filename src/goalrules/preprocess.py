@@ -391,13 +391,11 @@ def _join(*limbs: int) -> int:
     return code
 
 
-class Records(Sequence[int]):
+class Records:
     """Record codes packed ``width`` unsigned 64-bit limbs each, least
-    significant limb first, back to back in one ``array('Q')``. Reads as an
-    immutable sequence of ints: indexing and iteration give the codes,
-    slices, ``+`` and ``*`` give ``Records``, and it equals any sequence of
-    the same ints. The limbs are machine words, so the order of bytes in
-    memory is the machine's."""
+    significant limb first, back to back in one ``array('Q')``. Iterating
+    gives the codes, and it equals any sequence of the same ints. The limbs
+    are machine words, so the order of bytes in memory is the machine's."""
 
     __slots__ = ("words", "width")
 
@@ -420,27 +418,10 @@ class Records(Sequence[int]):
             return iter(self.words)
         return map(_join, *[iter(self.words)] * self.width)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Records.pack(map(self.__getitem__, range(len(self))[index]), self.width)
-        i = range(len(self))[index]
-        return _join(*self.words[i * self.width : (i + 1) * self.width])
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, Sequence):
+        if isinstance(other, (Records, Sequence)):
             return len(self) == len(other) and all(map(eq, self, other))
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))  # as the equal tuple's
-
-    def __add__(self, other: Sequence[int]) -> "Records":
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return Records.pack(chain(self, other), self.width)
-
-    def __mul__(self, factor: int) -> "Records":
-        return Records(self.words * factor, self.width)
 
     def __repr__(self) -> str:
         return f"Records({tuple(self)!r}, width={self.width})"
@@ -452,8 +433,7 @@ class PartitionedDatabase:
 
     ``partitions[k]`` holds the record codes of goal k in input order, as
     ``Records`` of the catalog's width: given any sequences of ints, the
-    constructor packs them. The sizes, the total and the flat ``records``
-    are derived from it.
+    constructor packs them. The sizes and the total are derived from it.
     """
 
     partitions: tuple[Records, ...]
@@ -478,14 +458,6 @@ class PartitionedDatabase:
     @cached_property
     def total(self) -> int:
         return sum(self.partition_sizes)
-
-    @property
-    def records(self) -> Records:
-        """Every goal's records, contiguously in goal order."""
-        words = array("Q")
-        for part in self.partitions:
-            words.extend(part.words)
-        return Records(words, _width(len(self.catalog)))
 
     @cached_property
     def bitmaps(self) -> tuple[tuple[int, ...], ...]:
@@ -565,7 +537,9 @@ def _plain_block(lines: Sequence[str]) -> bool:
             or text.endswith(space)
             or any(
                 edge in text
-                for edge in (space + ",", "," + space, space + "\n", space + "\r", "\n" + space)
+                for edge in (
+                    space + ",", "," + space, space + "\n", space + "\r", "\n" + space, "\r" + space
+                )
             )
         ):
             return False
@@ -575,9 +549,8 @@ def _plain_block(lines: Sequence[str]) -> bool:
 
 def _lookup(bits: Sequence[int], width: int):
     """The one-bit codes of bit indices ``bits`` as a numpy matrix of
-    ``width`` uint64 limbs a row, set a bit at a time: ``_limbs`` of each
-    code makes labels x width ints (15,000 labels at width 235: 0.02 s,
-    against 0.7 s that way, on a 2-vCPU host)."""
+    ``width`` uint64 limbs a row, set a bit at a time, so that the build is
+    linear in the labels, not in labels x width."""
     limbs, shifts = zip(*(divmod(bit, _LIMB_BITS) for bit in bits))
     table = _np.zeros((len(bits), width), _np.uint64)
     table[_np.arange(len(bits)), limbs] = _np.array([1 << shift for shift in shifts], _np.uint64)
@@ -803,10 +776,10 @@ def catalog_to_list(catalog: PropertyCatalog) -> list[dict]:
 def database_to_dict(pdb: PartitionedDatabase) -> dict:
     """JSON-ready dump; records are decimal strings to survive any reader."""
     try:
-        records = [str(r) for r in pdb.records]
+        records = [str(r) for r in chain.from_iterable(pdb.partitions)]
     except ValueError as exc:
         bound = 10 ** sys.get_int_max_str_digits()
-        index = next(i for i, r in enumerate(pdb.records) if r >= bound)
+        index = next(i for i, r in enumerate(chain.from_iterable(pdb.partitions)) if r >= bound)
         raise DataError(f"cannot dump record {index}: {exc}") from None
     return {
         "goal_labels": list(pdb.goal_labels),
@@ -831,7 +804,7 @@ def replicate(pdb: PartitionedDatabase, factor: int) -> PartitionedDatabase:
     if factor < 1:
         raise ValueError("replication factor must be >= 1")
     return PartitionedDatabase(
-        partitions=tuple(part * factor for part in pdb.partitions),
+        partitions=tuple(Records(part.words * factor, part.width) for part in pdb.partitions),
         goal_labels=pdb.goal_labels,
         catalog=pdb.catalog,
         skipped_rows=pdb.skipped_rows,

@@ -15,11 +15,14 @@
 # more than 64 properties and is mined with --max-premise-len 2, and one has
 # its data lines written 3 times. The small table is also mined with
 # --max-premise-len 1 --negative --format json, the single-property rules
-# that `create_candidates` and `mine_negative` return. The working tree runs
-# twice, with numpy and with numpy blocked, and each run is compared with the
-# revision's. It prints `same` or `DIFF` per comparison (the two synth files;
-# or stdout, stderr, exit status and any --out file), 53 lines in all, with
-# lines holding `_seconds` left out, and exits non-zero on any DIFF.
+# that `create_candidates` and `mine_negative` return. A copy of the small
+# table with every \n deleted, so that its lines end in a lone \r (synth
+# writes \r\n), runs under `preprocess` and under `mine --negative --format
+# json`. The working tree runs twice, with numpy and with numpy blocked, and
+# each run is compared with the revision's. It prints `same` or `DIFF` per
+# comparison (the two synth files; or stdout, stderr, exit status and any
+# --out file), 57 lines in all, with lines holding `_seconds` left out, and
+# exits non-zero on any DIFF.
 cd "$(dirname "$0")/.." || exit 1
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 with_numpy=$?
@@ -52,6 +55,8 @@ synth wide --rows 400 --continuous 22 --categorical 0 --seed 2 || exit 1
 synth base --rows 200 --seed 3 || exit 1
 { head -n 1 "$tmp/base.csv"; for _ in 1 2 3; do tail -n +2 "$tmp/base.csv"; done; } >"$tmp/tripled.csv"
 cp "$tmp/base.dbd.json" "$tmp/tripled.dbd.json"
+tr -d '\n' <"$tmp/small.csv" >"$tmp/lone_cr.csv"
+cp "$tmp/small.dbd.json" "$tmp/lone_cr.dbd.json"
 
 run() {  # run <src dir> <output file> <command> <table> <arguments...>
     src=$1 out=$2 command=$3 table=$4
@@ -85,4 +90,6 @@ for table in small wide tripled; do
     done
 done
 compare mine small --format json --negative --max-premise-len 1
+compare preprocess lone_cr
+compare mine lone_cr --format json --negative
 [ "$with_numpy" -eq 0 ] && [ "$without_numpy" -eq 0 ] && [ "$status" -eq 0 ]

@@ -67,8 +67,8 @@ def property_counts(pdb) -> list[list[int]]:
 
 
 def multiset_root(pdb):
-    """The table's multiset root, built as ``mine`` builds it."""
-    return engine._Root.of(pdb, property_counts(pdb))
+    """``(g, root)``: the table's multiset root, built as ``mine`` builds it."""
+    return engine._root(pdb, property_counts(pdb))
 
 
 def assert_bitmaps_equal(actual, expected) -> None:

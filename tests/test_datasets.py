@@ -71,7 +71,7 @@ class TestDiabetes:
         dbd = tmp_path / "d.dbd.json"
         save_tables(rows, description, db, dbd)
         pdb = preprocess_csv(db, dbd)
-        assert pdb.records == diabetes_database().records
+        assert pdb.partitions == diabetes_database().partitions
 
 
 def _fake_load_diabetes():

@@ -378,9 +378,8 @@ class TestPreprocess:
     def test_grouping_is_stable(self):
         pdb = preprocess(self.rows(), make_descriptors())
         assert pdb.partition_sizes == (2, 1)
-        assert pdb.records == (9, 10, 20)  # goal-0 rows keep input order
+        assert pdb.partitions == ((9, 10), (20,))  # goal-0 rows keep input order
         assert pdb.goal_labels == ("no", "yes")
-        assert pdb.partitions == ((9, 10), (20,))
         assert pdb.total == 3
 
     def test_empty_partition_kept(self):
@@ -506,7 +505,6 @@ class TestEncoderMatchesReference:
             assert encode_row(row, descs, build_catalog(descs)) == (code, goal)
         pdb = preprocess(rows, descs)
         assert pdb.partitions == tuple(tuple(b) for b in buckets)
-        assert pdb.records == tuple(c for b in buckets for c in b)
         assert pdb.partition_sizes == tuple(len(b) for b in buckets)
         assert pdb.total == len(rows)
 
@@ -564,7 +562,7 @@ class TestCsv:
         db, dbd = self.write_files(tmp_path, ["5,red,no", "25,blue,yes"])
         pdb = preprocess_csv(db, dbd)
         assert pdb.partition_sizes == (1, 1)
-        assert pdb.records == (9, 20)
+        assert pdb.partitions == ((9,), (20,))
 
     def test_header_mismatch(self, tmp_path):
         db = tmp_path / "t.csv"
@@ -883,16 +881,18 @@ class TestBlockReader:
     @pytest.mark.parametrize("cell", HOSTILE_CELLS)
     def test_each_hostile_cell(self, tmp_path, monkeypatch, field_limit, cell):
         # the cell in each column of one row of the first block, and in row
-        # 300 of a later block, after blocks of the other path
+        # 300 of a later block, after blocks of the other path, with \n and
+        # with lone \r line ends
         monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_BLOCK_CHARS", 1_000)
         good = ["12.5,red,no"] * 400
-        for column in range(3):
-            for at in (3, 299):
-                cells = good[at].split(",")
-                cells[column] = cell
-                lines = good[:at] + [",".join(cells)] + good[at + 1 :]
-                data = ("temp,color,label\n" + "\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
-                assert_reads_as_cells(*write_hostile(tmp_path, data))
+        for end in ("\n", "\r"):
+            for column in range(3):
+                for at in (3, 299):
+                    cells = good[at].split(",")
+                    cells[column] = cell
+                    lines = ["temp,color,label", *good[:at], ",".join(cells), *good[at + 1 :], ""]
+                    data = end.join(lines).encode("utf-8", "surrogateescape")
+                    assert_reads_as_cells(*write_hostile(tmp_path, data))
 
     @pytest.mark.parametrize("line", EXTRA_LINES)
     def test_each_hostile_line(self, tmp_path, monkeypatch, line):
@@ -1121,20 +1121,15 @@ class TestRecords:
         records = Records.pack(self.CODES, width)
         assert (len(records), records.width, len(records.words)) == (5, width, 5 * width)
         assert list(records) == list(self.CODES) and records == self.CODES and self.CODES == records
-        assert [records[i] for i in range(-5, 5)] == list(self.CODES * 2)
-        for cut in (slice(1, 3), slice(None, None, -1), slice(4, 1), slice(-2, None), slice(None, None, 2)):
-            assert records[cut] == self.CODES[cut] and records[cut].width == width
-        assert records + (2,) == self.CODES + (2,) and records * 2 == self.CODES * 2
         assert records != self.CODES[:4] and records != [*self.CODES[:4], 8]
-        assert hash(records) == hash(self.CODES)
         assert repr(records) == f"Records({self.CODES!r}, width={width})"
-        with pytest.raises(IndexError):
-            records[5]
+        with pytest.raises(TypeError):
+            hash(records)
 
     def test_one_limb_reads_the_array_itself(self):
         records = Records.pack((9, 10, 20), 1)
         assert records.words == array("Q", (9, 10, 20))
-        assert records[::-1] == (20, 10, 9) and records[1:] + records[:1] == (10, 20, 9)
+        assert type(iter(records)) is type(iter(records.words)) and records == (9, 10, 20)
         assert Records.pack((), 1) == () and not Records.pack((), 2)
 
     @given(data=st.data(), width=st.integers(1, 3))
@@ -1143,32 +1138,15 @@ class TestRecords:
         codes = st.integers(0, (1 << 64 * width) - 1)
         expected = tuple(data.draw(st.lists(codes, max_size=10)))
         records = Records.pack(expected, width)
-        n = len(expected)
-        assert len(records) == n and tuple(iter(records)) == expected
-        for i in range(-n - 2, n + 2):
-            if -n <= i < n:
-                assert records[i] == expected[i]
-            else:
-                with pytest.raises(IndexError):
-                    records[i]
-        bound = st.none() | st.integers(-n - 2, n + 2)
-        cut = slice(*data.draw(st.tuples(bound, bound, st.none() | st.integers(-3, 3).filter(bool))))
-        assert records[cut] == expected[cut] and records[cut].width == width
-        tail = tuple(data.draw(st.lists(codes, max_size=4)))
-        assert records + tail == expected + tail
+        assert len(records) == len(expected) and tuple(iter(records)) == expected
         other_width = data.draw(st.integers(1, 3))
         narrow = st.integers(0, (1 << 64 * min(width, other_width)) - 1)
         other = tuple(data.draw(st.lists(narrow, max_size=4)))
-        joined = records + Records.pack(other, other_width)
-        assert joined == expected + other and joined.width == width
         assert Records.pack(other, other_width) == Records.pack(other, width) == other
-        factor = data.draw(st.integers(-1, 3))
-        assert records * factor == expected * factor and (records * factor).width == width
         different = tuple(data.draw(st.lists(codes, max_size=10)))
         for against in (different, Records.pack(different, width)):
             assert (records == against) == (expected == different)
             assert (records != against) == (expected != different)
-        assert hash(records) == hash(expected)
 
     @pytest.mark.parametrize("code,width", [(-1, 1), (1 << 64, 1), (-1, 2), (1 << 128, 2)])
     def test_code_wider_than_its_limbs_is_an_error(self, code, width):
@@ -1179,7 +1157,6 @@ class TestRecords:
         pdb = PartitionedDatabase(((1 << 70, 3), [1 << 64]), ("a", "b"), generic_catalog(71))
         assert [(type(p), p.width) for p in pdb.partitions] == [(Records, 2)] * 2
         assert pdb.partitions == ((1 << 70, 3), (1 << 64,))
-        assert pdb.records == (1 << 70, 3, 1 << 64) and pdb.records.width == 2
         same = PartitionedDatabase(pdb.partitions, ("a", "b"), pdb.catalog)
         assert all(a is b for a, b in zip(same.partitions, pdb.partitions))
 
@@ -1287,7 +1264,7 @@ class TestRecordWidths:
         for copies in (1, 3):
             pdb = preprocess_csv(*self.write(tmp_path, doc, lines, copies=copies))
             self.assert_packed(pdb, m, self.expected(doc, lines, copies))
-            assert multiset_root(pdb).g == copies
+            assert multiset_root(pdb)[0] == copies
             rules = mine(pdb, config)
             assert_rulesets_equal(rules, oracle_mine(from_database(pdb), 3, config))
             premises = [r.premise for r in rules.all_positive()]
