@@ -13,7 +13,6 @@ from .preprocess import (
     PropertyCatalog,
     build_catalog,
     dump_database,
-    encode_row,
     parse_description,
     preprocess,
     preprocess_csv,
@@ -45,7 +44,6 @@ __all__ = [
     "build_catalog",
     "compute_metrics",
     "dump_database",
-    "encode_row",
     "mine",
     "parse_description",
     "preprocess",

@@ -287,10 +287,9 @@ def create_candidates(pdb, config: MiningConfig) -> list[list[Rule]]:
     return list(map(list, mine(pdb, replace(config, max_premise_len=1)).positive))
 
 
-def mine_negative(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> list[list[Rule]]:
+def mine_negative(pdb, config: MiningConfig | None = None) -> list[list[Rule]]:
     """Single-property rules arguing against a goal: correlation at or below
     ``neg_corr``. These are terminal; longer premises only lose support.
-    ``mine``'s negative groups, made at premise length 1; ``threads`` is a
-    sequential alias, as in ``mine``."""
+    ``mine``'s negative groups, made at premise length 1."""
     config = replace(config or MiningConfig(), max_premise_len=1)
-    return list(map(list, mine(pdb, config, threads=threads).negative))
+    return list(map(list, mine(pdb, config).negative))

@@ -26,8 +26,9 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain, zip_longest
+from itertools import chain, islice, zip_longest
 from math import isfinite
+from numbers import Real
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -81,7 +82,9 @@ class ColumnDescriptor:
                     "boundary count must be class_count - 1"
                 )
             bounds = self.values
-            if any(not isfinite(b) for b in bounds):
+            if not all(isinstance(b, Real) and not isinstance(b, bool) for b in bounds):
+                raise DataError(f"continuous column {self.name!r}: non-numeric boundary")
+            if not all(abs(b) <= sys.float_info.max for b in bounds):  # or an int past float range
                 raise DataError(f"continuous column {self.name!r}: non-finite boundary")
             if any(bounds[i] >= bounds[i + 1] for i in range(len(bounds) - 1)):
                 raise DataError(
@@ -93,10 +96,12 @@ class ColumnDescriptor:
                     f"column {self.name!r}: expected {self.class_count} labels, "
                     f"got {len(self.values)}"
                 )
+            if not all(isinstance(v, str) for v in self.values) or any(
+                v != v.encode("utf-8", "replace").decode() for v in self.values
+            ):
+                raise DataError(f"column {self.name!r}: labels must be valid Unicode text")
             if len(set(self.values)) != len(self.values):
                 raise DataError(f"column {self.name!r}: labels must be distinct")
-            if any(v != v.encode("utf-8", "replace").decode() for v in self.values):
-                raise DataError(f"column {self.name!r}: labels must be valid Unicode text")
 
     @property
     def is_target(self) -> bool:
@@ -142,6 +147,18 @@ def _text(value, owner: str, key: str) -> str:
     raise DataError(f"{owner}: bad {key!r} value {value!r}")
 
 
+def _boundary(value):
+    """A JSON boundary as a float, where it is a number in float range or text
+    in the cell grammar (``float()`` would also read true and "5 "); any other
+    value is kept, for ``ColumnDescriptor`` to reject."""
+    if type(value) in (int, float) or type(value) is str and _plain(value):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    return value
+
+
 def parse_description(text: str) -> list[ColumnDescriptor]:
     """Parse a JSON description document into column descriptors.
 
@@ -171,10 +188,7 @@ def parse_description(text: str) -> list[ColumnDescriptor]:
         if not isinstance(raw_values, list):
             raise DataError(f"column {name!r}: 'values' must be a list")
         if kind == CONTINUOUS:
-            try:  # float() would read true as 1.0
-                values = tuple(float(None if type(v) is bool else v) for v in raw_values)
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"continuous column {name!r}: non-numeric boundary") from exc
+            values = tuple(map(_boundary, raw_values))
         else:
             values = tuple(_text(v, f"column {name!r}", "values") for v in raw_values)
         descriptors.append(
@@ -219,10 +233,6 @@ class Property:
     column: str
     category: int
     full_name: str
-
-    @property
-    def code(self) -> int:
-        return 1 << self.index
 
 
 @dataclass(frozen=True)
@@ -286,27 +296,6 @@ def build_catalog(descriptors: Sequence[ColumnDescriptor]) -> PropertyCatalog:
     return PropertyCatalog(tuple(props))
 
 
-def _compile(descriptors: Sequence[ColumnDescriptor], catalog: PropertyCatalog) -> list[tuple]:
-    """One ``(name, bounds, labels, bits)`` entry per column: continuous
-    columns carry their bin boundaries, the others a label -> category dict
-    (without ``""``, which is a missing cell, never a label); ``bits[c]`` is
-    the bit index of category c, and ``None`` for the target."""
-    if len(catalog) == 0:
-        raise DataError("no input columns")
-    indices: dict[str, list[int]] = {}
-    for prop in catalog:
-        indices.setdefault(prop.column, []).append(prop.index)
-    columns = []
-    for desc in descriptors:
-        bits = None if desc.is_target else tuple(indices[desc.name])
-        if desc.kind == CONTINUOUS:
-            columns.append((desc.name, desc.values, None, bits))
-        else:
-            labels = {v: i for i, v in enumerate(desc.values) if v != ""}
-            columns.append((desc.name, None, labels, bits))
-    return columns
-
-
 def _plain(text: str) -> bool:
     """Whether a continuous cell is plain ASCII without whitespace or ``_``:
     ``float()`` would also read "1_0" as 10.0, "١٥" as 15.0 and " 25" as 25.0."""
@@ -314,8 +303,9 @@ def _plain(text: str) -> bool:
 
 
 def _encode(cells: Sequence, columns: Sequence[tuple]) -> tuple[int, int]:
-    """Encode one row of text cells (or ``None``), in column order. A row with
-    more cells than columns is an error; the cells a short row lacks are missing."""
+    """Encode one row of text cells (or ``None``) over ``_Encoder.columns``
+    as ``(code, goal)``. A row with more cells than columns is an error; the
+    cells a short row lacks are missing."""
     if len(cells) > len(columns):
         raise DataError(f"{len(cells)} cells, but the header has {len(columns)} columns")
     code = 0
@@ -345,23 +335,6 @@ def _encode(cells: Sequence, columns: Sequence[tuple]) -> tuple[int, int]:
         else:
             code |= 1 << bits[category]
     return code, goal
-
-
-def encode_row(
-    row: Mapping[str, str],
-    descriptors: Sequence[ColumnDescriptor],
-    catalog: PropertyCatalog,
-) -> tuple[int, int]:
-    """Encode one row as ``(bit code, goal index)``.
-
-    Exactly one property per input column is set, so the code's popcount
-    equals the number of non-target columns. A continuous value falls in
-    half-open bins: bin 0 is everything below the first boundary, and a
-    value equal to a boundary belongs to the bin above it. Extra cells under
-    the key ``None``, where ``csv.DictReader`` puts them, are an error.
-    """
-    cells = _row_cells(row, [d.name for d in descriptors])
-    return _encode(cells, _compile(descriptors, catalog))
 
 
 def _row_cells(row: Mapping[str, str], names: Sequence[str]) -> list:
@@ -564,29 +537,34 @@ class _Encoder:
 
     def __init__(self, descriptors: Sequence[ColumnDescriptor], skip_missing: bool) -> None:
         target = validate_descriptors(descriptors)
-        self.goal_labels = tuple(str(v) for v in target.values)
+        self.goal_labels = tuple(target.values)
         self.catalog = build_catalog(descriptors)
-        self.columns = _compile(descriptors, self.catalog)
+        if len(self.catalog) == 0:
+            raise DataError("no input columns")
         self.width = width = _width(len(self.catalog))
-        self.tables = self.dtype = None
-        if _np is not None:
-            # per column, for add_block: the bin boundaries as an array, the
-            # label dict, and the category -> code lookup table, one row of
-            # uint64 limbs per category (None for the target)
-            self.tables = [
-                (
-                    None if bounds is None else _np.array(bounds, dtype=float),
-                    labels,
-                    None if bits is None else _lookup(bits, width),
-                )
-                for _, bounds, labels, bits in self.columns
-            ]
-            # one character over the longest label: a longer cell that numpy
-            # cuts short can never equal a label
-            self.dtype = _np.dtype([
-                (f"c{i}", "f8" if d.kind == CONTINUOUS else f"U{max(map(len, d.values)) + 1}")
-                for i, d in enumerate(descriptors)
-            ])
+        # Per column, for _encode: its name, its boundaries or its label ->
+        # category dict (without "", a missing cell) and its categories' bit
+        # indices (None for the target); with numpy, for add_block: the
+        # boundaries as an array, the labels, the category -> code lookup
+        # table of uint64 limbs, and the column's field of the block dtype.
+        self.columns, self.tables, fields = [], [], []
+        props = iter(self.catalog)
+        for i, d in enumerate(descriptors):
+            if d.kind == CONTINUOUS:
+                bounds, labels = d.values, None
+            else:
+                bounds, labels = None, {v: c for c, v in enumerate(d.values) if v != ""}
+            bits = None if d.is_target else tuple(p.index for p in islice(props, d.class_count))
+            self.columns.append((d.name, bounds, labels, bits))
+            if _np is not None:
+                edges = None if bounds is None else _np.array(bounds, dtype=float)
+                lookup = None if bits is None else _lookup(bits, width)
+                self.tables.append((edges, labels, lookup))
+                # one character over the longest label: a longer cell that
+                # numpy cuts short can never equal a label
+                field = "f8" if labels is None else f"U{max(map(len, d.values)) + 1}"
+                fields.append((f"c{i}", field))
+        self.dtype = None if _np is None else _np.dtype(fields)
         self.skip_missing = skip_missing
         self.buckets = [array("Q") for _ in self.goal_labels]  # each goal's words
         self.rows = 0

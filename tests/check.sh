@@ -4,7 +4,9 @@
 # line count of src/. Run as `sh tests/check.sh`; it exits non-zero if
 # either test run does.
 #
-# With a revision, as in `sh tests/check.sh HEAD`, it then also runs
+# With a revision, as in `sh tests/check.sh HEAD`, it then also prints the
+# total of `wc -l src/goalrules/*.py` at that revision beside the working
+# tree's, so a change's size delta is read off, not recomputed. It runs
 # `goalrules synth` for three small tables from that revision's src/ and from
 # the working tree's, and compares the CSV and description each writes. It
 # then runs `goalrules preprocess` and `goalrules mine` from both on the
@@ -34,6 +36,8 @@ wc -l src/goalrules/*.py
 tmp=$(mktemp -d) || exit 1
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/rev" && git archive "$1" src | tar -x -C "$tmp/rev" || exit 1
+echo "src/goalrules/*.py lines: $(cat "$tmp"/rev/src/goalrules/*.py | wc -l) at $1," \
+    "$(cat src/goalrules/*.py | wc -l) in the working tree"
 status=0
 synth() {  # synth <table> <arguments...>
     table=$1

@@ -792,7 +792,7 @@ class TestPublicNames:
         "ColumnDescriptor", "ConfigError", "CriteriaWeights", "DataError", "MiningConfig",
         "MissingValueError", "PartitionedDatabase", "Property", "PropertyCatalog", "Rule",
         "RuleMetrics", "RuleSet", "build_catalog", "compute_metrics", "dump_database",
-        "encode_row", "mine", "parse_description", "preprocess", "preprocess_csv",
+        "mine", "parse_description", "preprocess", "preprocess_csv",
         "read_table", "recommended_min_correlation",
     ]
 

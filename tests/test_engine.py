@@ -286,8 +286,6 @@ class TestMine:
         pdb = random_pdb(random.Random(3))
         with pytest.raises(ConfigError, match="thread count"):
             mine(pdb, threads=threads)
-        with pytest.raises(ConfigError, match="thread count"):
-            mine_negative(pdb, threads=threads)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_left_as_found(self, enabled, monkeypatch):

@@ -21,7 +21,6 @@ from goalrules import (
     PropertyCatalog,
     build_catalog,
     dump_database,
-    encode_row,
     parse_description,
     preprocess,
     preprocess_csv,
@@ -31,9 +30,9 @@ from goalrules import mine
 from goalrules.metrics import support
 from goalrules.preprocess import (
     Records,
-    _compile,
     _encode,
     _Encoder,
+    _row_cells,
     database_to_dict,
     replicate,
     set_bits,
@@ -55,6 +54,16 @@ DESC = {
 
 def make_descriptors(doc=DESC):
     return parse_description(json.dumps(doc))
+
+
+def row_encoder(descriptors):
+    """What the encoder of ``descriptors`` makes of one row, without its row
+    number: ``(code, goal)`` from ``_encode`` over ``_Encoder``'s columns. A
+    mapping row is laid out as ``preprocess`` lays it out, extra cells under
+    the key ``None`` included; a list of cells is taken as it is."""
+    columns = _Encoder(descriptors, False).columns
+    names = [d.name for d in descriptors]
+    return lambda row: _encode(_row_cells(row, names) if isinstance(row, dict) else row, columns)
 
 
 def variant(**changes):
@@ -116,6 +125,50 @@ class TestParseDescription:
         doc = variant(col=0, values=[10.0, math.inf])
         with pytest.raises(DataError, match="non-finite boundary"):
             make_descriptors(doc)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (["5", "15_0"], "non-numeric boundary"),
+            (["5 ", "10"], "non-numeric boundary"),
+            (["\u0661", "2"], "non-numeric boundary"),
+            ([1, 10**400], "non-finite boundary"),
+        ],
+        ids=["underscore", "space", "arabic-digit", "int-past-float-range"],
+    )
+    def test_boundary_read_as_a_cell(self, values, message, tmp_path, capsys):
+        """Boundary text must be text a continuous cell may hold, and a JSON
+        integer past float range is not finite: each names its column, also
+        as ``goalrules mine``'s exit 3."""
+        doc = variant(col=0, values=values)
+        message = f"continuous column 'temp': {message}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            make_descriptors(doc)
+        db, dbd = tmp_path / "t.csv", tmp_path / "t.dbd.json"
+        db.write_text("temp,color,label\n5,red,no\n")
+        dbd.write_text(json.dumps(doc))
+        assert main(["mine", "--db", str(db), "--dbd", str(dbd)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_boundary_text_reads_as_its_number(self):
+        assert make_descriptors(variant(col=0, values=["5", "1e1"]))[0].values == (5.0, 10.0)
+
+    @pytest.mark.parametrize(
+        "kind, values, message",
+        [
+            ("continuous", ("10", "20"), "continuous column 'x': non-numeric boundary"),
+            ("continuous", (None, 20.0), "continuous column 'x': non-numeric boundary"),
+            ("continuous", (True, 20.0), "continuous column 'x': non-numeric boundary"),
+            ("continuous", (1, 10**400), "continuous column 'x': non-finite boundary"),
+            ("categorical", ("red", 1), "column 'x': labels must be valid Unicode text"),
+            ("target", (None, "b"), "column 'x': labels must be valid Unicode text"),
+        ],
+        ids=["text", "null", "true", "int-past-float-range", "int-label", "null-goal"],
+    )
+    def test_descriptor_built_in_python(self, kind, values, message):
+        classes = len(values) + (kind == "continuous")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            ColumnDescriptor("x", kind, "X", classes, values, "x")
 
     def test_class_count_too_small(self):
         doc = variant(col=1, classes=1, values=["red"])
@@ -204,7 +257,6 @@ class TestCatalog:
     def test_layout(self):
         catalog = build_catalog(make_descriptors())
         assert catalog.names() == ["T0", "T1", "T2", "C0", "C1"]
-        assert [p.code for p in catalog] == [1, 2, 4, 8, 16]
         assert [p.column for p in catalog] == ["temp"] * 3 + ["color"] * 2
         assert len(catalog) == 5
 
@@ -247,18 +299,18 @@ class TestCatalog:
 
 
 def bin_of(value: float, bounds) -> int:
-    """The bin ``encode_row`` puts ``value`` in, on a description with one
+    """The bin the encoder puts ``value`` in, on a description with one
     continuous input column over ``bounds``."""
     descs = [
         ColumnDescriptor("x", "continuous", "X", len(bounds) + 1, tuple(bounds), "x"),
         ColumnDescriptor("y", "target", "Y", 2, ("a", "b"), "y"),
     ]
-    code, _ = encode_row({"x": repr(value), "y": "a"}, descs, build_catalog(descs))
+    code, _ = row_encoder(descs)({"x": repr(value), "y": "a"})
     return code.bit_length() - 1
 
 
 class TestDiscretize:
-    """Continuous binning, through ``encode_row``."""
+    """Continuous binning, through ``row_encoder``."""
 
     @pytest.mark.parametrize(
         "value,expected",
@@ -297,63 +349,52 @@ class TestDiscretize:
 
 class TestEncodeRow:
     def test_example(self):
-        descs = make_descriptors()
-        catalog = build_catalog(descs)
-        code, goal = encode_row({"temp": "15", "color": "red", "label": "yes"}, descs, catalog)
+        code, goal = row_encoder(make_descriptors())({"temp": "15", "color": "red", "label": "yes"})
         assert code == 2 | 8
         assert goal == 1
         assert bin(code).count("1") == 2  # one property per input column
 
     def test_unparsable_continuous(self):
-        descs = make_descriptors()
-        catalog = build_catalog(descs)
+        encode = row_encoder(make_descriptors())
         for cell in ("warm", "1_0", "١٥", " 25", "25 ", "\t25", "2 5", "25\x1c"):
             message = re.escape(f"unparsable continuous value {cell!r} in column 'temp'")
             with pytest.raises(DataError, match=message):
-                encode_row({"temp": cell, "color": "red", "label": "no"}, descs, catalog)
+                encode({"temp": cell, "color": "red", "label": "no"})
 
     def test_non_finite_cell(self):
-        descs = make_descriptors()
-        catalog = build_catalog(descs)
         with pytest.raises(DataError, match="non-finite value"):
-            encode_row({"temp": "nan", "color": "red", "label": "no"}, descs, catalog)
+            row_encoder(make_descriptors())({"temp": "nan", "color": "red", "label": "no"})
 
     def test_unknown_label(self):
-        descs = make_descriptors()
-        catalog = build_catalog(descs)
         with pytest.raises(DataError, match="unknown label 'green' in column 'color'"):
-            encode_row({"temp": "1", "color": "green", "label": "no"}, descs, catalog)
+            row_encoder(make_descriptors())({"temp": "1", "color": "green", "label": "no"})
 
     @pytest.mark.parametrize("missing", [None, ""])
     def test_missing_cell(self, missing):
-        descs = make_descriptors()
-        catalog = build_catalog(descs)
         row = {"temp": "1", "color": missing, "label": "no"}
         if missing is None:
             row.pop("color")
         with pytest.raises(MissingValueError, match="column 'color'"):
-            encode_row(row, descs, catalog)
+            row_encoder(make_descriptors())(row)
 
     @pytest.mark.parametrize("column, cell", [("temp", 15.0), ("color", 1), ("label", True)])
     def test_non_text_cell_is_an_error(self, column, cell):
-        descs = make_descriptors(variant(col=1, values=["1", "blue"]))
+        encode = row_encoder(make_descriptors(variant(col=1, values=["1", "blue"])))
         row = {"temp": "15", "color": "1", "label": "yes", column: cell}
         message = re.escape(f"non-text value {cell!r} in column {column!r}")
         with pytest.raises(DataError, match=f"^{message}$"):
-            encode_row(row, descs, build_catalog(descs))
+            encode(row)
 
     def test_extra_cells_under_none_are_an_error(self):
-        descs = make_descriptors()
         row = {"temp": "25", "color": "blue", "label": "yes", None: ["9"]}
         with pytest.raises(DataError, match="^4 cells, but the header has 3 columns$"):
-            encode_row(row, descs, build_catalog(descs))
+            row_encoder(make_descriptors())(row)
 
     def test_columns_hold_bit_indices(self):
-        """``_compile`` gives each category its bit index, not its one-bit
+        """``_Encoder`` gives each category its bit index, not its one-bit
         code: a code is an int of up to m bits, so codes for every label of a
         wide column would take labels x m bits."""
-        descs = make_descriptors()
-        assert _compile(descs, build_catalog(descs)) == [
+        assert _Encoder(make_descriptors(), False).columns == [
             ("temp", (10.0, 20.0), None, (0, 1, 2)),
             ("color", None, {"red": 0, "blue": 1}, (3, 4)),
             ("label", None, {"no": 0, "yes": 1}, None),
@@ -361,10 +402,9 @@ class TestEncodeRow:
 
     def test_target_only_description(self):
         descs = [ColumnDescriptor("label", "target", "Y", 2, ("no", "yes"), "label")]
-        catalog = build_catalog(descs)
-        assert len(catalog) == 0
-        with pytest.raises(DataError, match="no input columns"):
-            encode_row({"label": "no"}, descs, catalog)
+        assert len(build_catalog(descs)) == 0
+        with pytest.raises(DataError, match="^no input columns$"):
+            row_encoder(descs)
 
 
 class TestPreprocess:
@@ -428,15 +468,12 @@ class TestPreprocess:
     def test_encode_decode_roundtrip(self, choices):
         descs = make_descriptors()
         catalog = build_catalog(descs)
+        encode = row_encoder(descs)
         temp_reps = ["5", "15", "25"]
         color_reps = ["red", "blue"]
         labels = ["no", "yes"]
         for t, c, y in choices:
-            code, goal = encode_row(
-                {"temp": temp_reps[t], "color": color_reps[c], "label": labels[y]},
-                descs,
-                catalog,
-            )
+            code, goal = encode({"temp": temp_reps[t], "color": color_reps[c], "label": labels[y]})
             assert [catalog[i].name for i in set_bits(code)] == [f"T{t}", f"C{c}"]
             assert goal == y
 
@@ -499,10 +536,11 @@ class TestEncoderMatchesReference:
         descs, rows = case
         target = next(d for d in descs if d.is_target)
         buckets = [[] for _ in target.values]
+        encode = row_encoder(descs)
         for row in rows:
             code, goal = reference_encode(row, descs)
             buckets[goal].append(code)
-            assert encode_row(row, descs, build_catalog(descs)) == (code, goal)
+            assert encode(row) == (code, goal)
         pdb = preprocess(rows, descs)
         assert pdb.partitions == tuple(tuple(b) for b in buckets)
         assert pdb.partition_sizes == tuple(len(b) for b in buckets)
@@ -720,23 +758,19 @@ def preprocess_outcome(read, skip_missing):
 def read_whole_file(db, descriptors, skip_missing):
     """Reference for what a CSV reads as, and for which error comes first:
     the whole file read by one ``csv.reader``, in no blocks, and each
-    non-blank row encoded with ``encode_row`` before the next is read.
+    non-blank row encoded with ``row_encoder`` before the next is read.
     Returns what ``preprocess_outcome`` returns."""
-    catalog = build_catalog(descriptors)
-    names = [d.name for d in descriptors]
+    encode = row_encoder(descriptors)
     buckets = [[] for d in descriptors if d.is_target for _ in d.values]
     number = skipped = 0
     with open(db, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
         try:
-            assert next(reader) == names
+            assert next(reader) == [d.name for d in descriptors]
             for cells in filter(None, reader):
                 number += 1
-                row = dict(zip(names, cells))
-                if len(cells) > len(names):
-                    row[None] = cells[len(names) :]
                 try:
-                    code, goal = encode_row(row, descriptors, catalog)
+                    code, goal = encode(cells)
                 except DataError as exc:
                     if skip_missing and isinstance(exc, MissingValueError):
                         skipped += 1
@@ -1218,11 +1252,10 @@ class TestRecordWidths:
 
     @staticmethod
     def expected(doc, lines, copies=1):
-        descriptors = make_descriptors(doc)
-        columns = _compile(descriptors, build_catalog(descriptors))
+        encode = row_encoder(make_descriptors(doc))
         parts = ([], [], [])
         for cells in lines * copies:
-            code, goal = _encode(cells, columns)
+            code, goal = encode(cells)
             parts[goal].append(code)
         return tuple(map(tuple, parts))
 
