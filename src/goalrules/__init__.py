@@ -14,7 +14,6 @@ from .preprocess import (
     build_catalog,
     dump_database,
     parse_description,
-    preprocess,
     preprocess_csv,
     read_table,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "dump_database",
     "mine",
     "parse_description",
-    "preprocess",
     "preprocess_csv",
     "read_table",
     "recommended_min_correlation",

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence, TextIO
 
 from .datasets import save_tables, synthetic_tables
-from .engine import MiningConfig, Rule, RuleSet, check_threads, mine
+from .engine import MiningConfig, Rule, RuleSet, mine
 from .errors import ConfigError, DataError
 from .metrics import CriteriaWeights
 from .preprocess import (
@@ -70,7 +70,8 @@ def _parse_weights(text: str) -> CriteriaWeights:
 
 
 def _build_config(args: argparse.Namespace) -> MiningConfig:
-    check_threads(args.threads)
+    if args.threads < 1:  # checked before any input is read
+        raise ConfigError("thread count must be >= 1")
     weights = _parse_weights(args.weights) if args.weights else CriteriaWeights()
     return MiningConfig(
         min_corr=args.min_corr,
@@ -269,7 +270,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     preprocess_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    ruleset = mine(pdb, config, threads=args.threads)
+    ruleset = mine(pdb, config)
     if not args.negative:
         ruleset = ruleset.with_negative([()] * ruleset.goal_count)
     mine_seconds = time.perf_counter() - started

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd
+from numbers import Integral, Real
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -44,6 +45,15 @@ class MiningConfig:
     max_premise_len: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("min_corr", "corr_stop", "min_f_all", "neg_corr"):
+            value = getattr(self, name)
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a real number")
+        limit = self.max_premise_len
+        if limit is not None and (not isinstance(limit, Integral) or isinstance(limit, bool)):
+            raise ConfigError("max_premise_len must be an integer")
+        if not isinstance(self.weights, CriteriaWeights):
+            raise ConfigError("weights must be a CriteriaWeights")
         if not 0.0 < self.min_corr <= 1.0:
             raise ConfigError("min_corr must be in (0, 1]")
         if not 0.0 < self.corr_stop <= 1.0:
@@ -54,7 +64,7 @@ class MiningConfig:
             raise ConfigError("min_f_all must be in [0, 1]")
         if not -1.0 <= self.neg_corr < 0.0:
             raise ConfigError("neg_corr must be in [-1, 0)")
-        if self.max_premise_len is not None and self.max_premise_len < 1:
+        if limit is not None and limit < 1:
             raise ConfigError("max_premise_len must be >= 1")
 
 
@@ -249,24 +259,15 @@ def _goal_rules(
     return list(chain.from_iterable(buckets)), negative
 
 
-def check_threads(threads: int) -> None:
-    """Reject a thread count below 1; the CLI calls this before reading input."""
-    if threads < 1:
-        raise ConfigError("thread count must be >= 1")
-
-
-def mine(pdb, config: MiningConfig | None = None, *, threads: int = 1) -> RuleSet:
+def mine(pdb, config: MiningConfig | None = None) -> RuleSet:
     """Mine the positive and negative rules of every goal class.
 
     One popcount of each property bitmap gives the property's count per
     goal, and their column sums its count in the table. ``_root`` builds
     the table's multiset root from them once; ``_goal_rules`` then makes
     each goal's rules on it with the cyclic garbage collector paused, as the
-    walks make no cycles, then restores the caller's setting. ``threads`` is
-    accepted for compatibility and must be >= 1; the search runs
-    sequentially, so results are identical for any value.
+    walks make no cycles, then restores the caller's setting.
     """
-    check_threads(threads)
     config = config or MiningConfig()
     counts = [[bits.bit_count() for bits in maps] for maps in pdb.bitmaps]
     sups = [sum(column) for column in zip(*counts)]

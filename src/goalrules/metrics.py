@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, nextafter
+from numbers import Real
 
 from .errors import ConfigError
 from .preprocess import set_bits
@@ -31,6 +32,8 @@ class CriteriaWeights:
 
     def __post_init__(self) -> None:
         weights = self.as_tuple()
+        if not all(isinstance(w, Real) and not isinstance(w, bool) for w in weights):
+            raise ConfigError("criteria weights must be real numbers")
         if not all(0 <= w < inf for w in weights):
             raise ConfigError("criteria weights must be finite and non-negative")
         if not any(w > 0 for w in weights):

@@ -71,6 +71,12 @@ class ColumnDescriptor:
     full_name: str
 
     def __post_init__(self) -> None:
+        fields = [("name", self.name), ("kind", self.kind), ("classes", self.class_count)]
+        fields += [("values", v) for v in (() if self.kind == CONTINUOUS else self.values)]
+        fields += [("short", self.short_name), ("full_name", self.full_name)]
+        for key, value in fields:  # in the order a description's keys are read
+            if not isinstance(value, int if key == "classes" else str) or isinstance(value, bool):
+                raise DataError(f"column {self.name!r}: bad {key!r} value {value!r}")
         if self.kind not in _KINDS:
             raise DataError(f"column {self.name!r}: unknown kind {self.kind!r}")
         if self.class_count < 2:
@@ -96,9 +102,7 @@ class ColumnDescriptor:
                     f"column {self.name!r}: expected {self.class_count} labels, "
                     f"got {len(self.values)}"
                 )
-            if not all(isinstance(v, str) for v in self.values) or any(
-                v != v.encode("utf-8", "replace").decode() for v in self.values
-            ):
+            if any(v != v.encode("utf-8", "replace").decode() for v in self.values):
                 raise DataError(f"column {self.name!r}: labels must be valid Unicode text")
             if len(set(self.values)) != len(self.values):
                 raise DataError(f"column {self.name!r}: labels must be distinct")
@@ -128,23 +132,17 @@ def validate_descriptors(descriptors: Sequence[ColumnDescriptor]) -> ColumnDescr
     return targets[0]
 
 
-def _whole(value, owner: str, key: str) -> int:
-    """A JSON whole number: an integer or a string of ASCII digits. ``int()``
-    would read ``true`` as 1, truncate 2.7 to 2 and read " 1 " and "1_0"."""
-    if type(value) is int or isinstance(value, str) and value.isascii() and value.isdigit():
-        try:
-            return int(value)
-        except ValueError as exc:  # more digits than Python reads as an int
-            raise DataError(f"{owner}: {key!r} value: {exc}") from None
-    raise DataError(f"{owner}: bad {key!r} value {value!r}")
+def _whole(value):
+    """An integral float or a string of ASCII digits as an int (``int()`` would
+    also read true, 2.7 and "1_0"); any other value is kept."""
+    digits = type(value) is str and value.isascii() and value.isdigit()
+    return int(value) if digits or type(value) is float and value.is_integer() else value
 
 
-def _text(value, owner: str, key: str) -> str:
-    """JSON text in a description: a string, or a number read as its text.
-    ``str()`` would also read null as "None" and ``true`` as "True"."""
-    if type(value) in (str, int, float):
-        return str(value)
-    raise DataError(f"{owner}: bad {key!r} value {value!r}")
+def _text(value):
+    """A JSON number as its text (``str()`` would also read null and true);
+    any other value is kept."""
+    return str(value) if type(value) in (int, float) else value
 
 
 def _boundary(value):
@@ -181,24 +179,21 @@ def parse_description(text: str) -> list[ColumnDescriptor]:
             name, kind, classes, raw_values = itemgetter("name", "kind", "classes", "values")(entry)
         except KeyError as exc:
             raise DataError(f"column entry is missing key {exc.args[0]!r}") from exc
-        name = _text(name, f"column {name!r}", "name")
-        kind = _text(kind, f"column {name!r}", "kind")
-        classes = int(classes) if type(classes) is float and classes.is_integer() else classes
-        classes = _whole(classes, f"column {name!r}", "classes")
+        name, kind = _text(name), _text(kind)
+        try:
+            classes = _whole(classes)
+        except ValueError as exc:  # more digits than Python reads as an int
+            raise DataError(f"column {name!r}: 'classes' value: {exc}") from None
         if not isinstance(raw_values, list):
             raise DataError(f"column {name!r}: 'values' must be a list")
-        if kind == CONTINUOUS:
-            values = tuple(map(_boundary, raw_values))
-        else:
-            values = tuple(_text(v, f"column {name!r}", "values") for v in raw_values)
         descriptors.append(
             ColumnDescriptor(
                 name=name,
                 kind=kind,
-                short_name=_text(entry.get("short", name), f"column {name!r}", "short"),
+                short_name=_text(entry.get("short", name)),
                 class_count=classes,
-                values=values,
-                full_name=_text(entry.get("full_name", name), f"column {name!r}", "full_name"),
+                values=tuple(map(_boundary if kind == CONTINUOUS else _text, raw_values)),
+                full_name=_text(entry.get("full_name", name)),
             )
         )
     validate_descriptors(descriptors)

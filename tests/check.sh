@@ -17,13 +17,14 @@
 # more than 64 properties and is mined with --max-premise-len 2, and one has
 # its data lines written 3 times. The small table is also mined with
 # --max-premise-len 1 --negative --format json, the single-property rules
-# that `create_candidates` and `mine_negative` return. A copy of the small
+# that `create_candidates` and `mine_negative` return, and with --threads 3
+# --negative --format json, which pins `report.threads`. A copy of the small
 # table with every \n deleted, so that its lines end in a lone \r (synth
 # writes \r\n), runs under `preprocess` and under `mine --negative --format
 # json`. The working tree runs twice, with numpy and with numpy blocked, and
 # each run is compared with the revision's. It prints `same` or `DIFF` per
 # comparison (the two synth files; or stdout, stderr, exit status and any
-# --out file), 57 lines in all, with lines holding `_seconds` left out, and
+# --out file), 59 lines in all, with lines holding `_seconds` left out, and
 # exits non-zero on any DIFF.
 cd "$(dirname "$0")/.." || exit 1
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -94,6 +95,7 @@ for table in small wide tripled; do
     done
 done
 compare mine small --format json --negative --max-premise-len 1
+compare mine small --format json --negative --threads 3
 compare preprocess lone_cr
 compare mine lone_cr --format json --negative
 [ "$with_numpy" -eq 0 ] && [ "$without_numpy" -eq 0 ] && [ "$status" -eq 0 ]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from goalrules import PartitionedDatabase, Property, PropertyCatalog, RuleSet, engine
+from goalrules import PartitionedDatabase, Property, PropertyCatalog, RuleSet, engine, preprocess
 
 
 def generic_catalog(m: int) -> PropertyCatalog:
@@ -118,6 +118,4 @@ def pure_scan(monkeypatch):
     Only the CSV reader reads numpy, so only its tests use this fixture:
     ``TestCsvRowByRow``, ``TestBlockReader.test_matches_the_cell_path`` and
     ``TestBlockReader.test_quoted_table_reads_as_its_plain_form``."""
-    import sys
-
-    monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_np", None)
+    monkeypatch.setattr(preprocess, "_np", None)

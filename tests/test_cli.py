@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,11 @@ class TestMineCommand:
         db, dbd = table
         assert main(["mine", "--db", db, "--dbd", dbd, "--weights", "1,2"]) == 2
         assert "four" in capsys.readouterr().err
+
+    def test_non_numeric_weights_are_config_error(self, table, capsys):
+        db, dbd = table
+        assert main(["mine", "--db", db, "--dbd", dbd, "--weights", "a,b,c,d"]) == 2
+        assert capsys.readouterr().err == "error: --weights expects numbers, got 'a,b,c,d'\n"
 
     def test_unknown_format_is_usage_error(self, table):
         db, dbd = table
@@ -792,7 +798,7 @@ class TestPublicNames:
         "ColumnDescriptor", "ConfigError", "CriteriaWeights", "DataError", "MiningConfig",
         "MissingValueError", "PartitionedDatabase", "Property", "PropertyCatalog", "Rule",
         "RuleMetrics", "RuleSet", "build_catalog", "compute_metrics", "dump_database",
-        "mine", "parse_description", "preprocess", "preprocess_csv",
+        "mine", "parse_description", "preprocess_csv",
         "read_table", "recommended_min_correlation",
     ]
 
@@ -802,6 +808,12 @@ class TestPublicNames:
         assert goalrules.__all__ == self.KEPT
         for name in self.KEPT:
             assert getattr(goalrules, name) is not None
+
+    def test_preprocess_is_the_module(self):
+        import goalrules
+
+        assert isinstance(goalrules.preprocess, types.ModuleType)
+        assert goalrules.preprocess.preprocess_csv is goalrules.preprocess_csv
 
     def test_oracle_is_not_part_of_the_package(self):
         with pytest.raises(ModuleNotFoundError):

@@ -13,7 +13,6 @@ from goalrules import (
     DataError,
     mine,
     parse_description,
-    preprocess,
     preprocess_csv,
 )
 from goalrules.datasets import (
@@ -23,7 +22,7 @@ from goalrules.datasets import (
     synthetic_tables,
     tertile_boundaries,
 )
-from goalrules.preprocess import CATEGORICAL, CONTINUOUS, TARGET, description_document
+from goalrules.preprocess import CATEGORICAL, CONTINUOUS, TARGET, description_document, preprocess
 
 
 class TestTertiles:

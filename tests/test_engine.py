@@ -56,11 +56,20 @@ class TestMiningConfig:
             {"neg_corr": 0.0},
             {"neg_corr": -1.5},
             {"max_premise_len": 0},
+            {"max_premise_len": 2.5},
+            {"max_premise_len": True},
+            {"weights": (1, 1, 1, 1)},
+            {"min_corr": "0.3"},
+            {"min_f_all": True},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             MiningConfig(**kwargs)
+
+    def test_integer_thresholds_accepted(self):
+        config = MiningConfig(min_corr=1, corr_stop=1, min_f_all=0, neg_corr=-1)
+        assert mine(build_pdb([[1, 1], [2]], m=2), config).goal_count == 2
 
 
 class TestCreateCandidates:
@@ -273,19 +282,10 @@ class TestMine:
         singles_only = mine(pdb, MiningConfig(min_corr=0.1, min_f_all=0.0, max_premise_len=1))
         assert {r.premise_len for r in singles_only.positive[0]} == {1}
 
-    def test_threads_do_not_change_results(self):
-        rng = random.Random(31)
-        for _ in range(5):
-            pdb = random_pdb(rng, max_part=30)
-            one = mine(pdb, MiningConfig(min_corr=0.2))
-            many = mine(pdb, MiningConfig(min_corr=0.2), threads=3)
-            assert_rulesets_equal(one, many)
-
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_threads_below_one_rejected(self, threads):
-        pdb = random_pdb(random.Random(3))
-        with pytest.raises(ConfigError, match="thread count"):
-            mine(pdb, threads=threads)
+    def test_with_negative_needs_one_group_per_goal(self):
+        ruleset = mine(random_pdb(random.Random(3)))
+        with pytest.raises(ValueError, match="^one negative rule group per goal required$"):
+            ruleset.with_negative([()] * (ruleset.goal_count + 1))
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_left_as_found(self, enabled, monkeypatch):

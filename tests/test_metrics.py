@@ -113,6 +113,12 @@ class TestWeights:
         with pytest.raises(ConfigError, match="finite"):
             CriteriaWeights(1.0, bad, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [True, "1"])
+    def test_non_number_rejected(self, bad):
+        # a bool would read as 1 and text would fail later with a TypeError
+        with pytest.raises(ConfigError, match="^criteria weights must be real numbers$"):
+            CriteriaWeights(bad, 1.0, 1.0, 1.0)
+
     @pytest.mark.parametrize("weights", [(1e308,) * 4, (0.0, 1.7e308, 1.7e308, 0.0)])
     def test_overflowing_sum_rejected(self, weights):
         # quality could reach the sum of the weights, which overflows to inf

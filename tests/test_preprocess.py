@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+import goalrules.preprocess
 from goalrules import (
     ColumnDescriptor,
     DataError,
@@ -22,7 +23,6 @@ from goalrules import (
     build_catalog,
     dump_database,
     parse_description,
-    preprocess,
     preprocess_csv,
     read_table,
 )
@@ -34,6 +34,7 @@ from goalrules.preprocess import (
     _Encoder,
     _row_cells,
     database_to_dict,
+    preprocess,
     replicate,
     set_bits,
 )
@@ -111,6 +112,10 @@ class TestParseDescription:
         with pytest.raises(DataError, match="multiple target"):
             make_descriptors(doc)
 
+    def test_column_entry_not_an_object(self):
+        with pytest.raises(DataError, match="^each column entry must be an object$"):
+            parse_description(json.dumps({"columns": ["temp"]}))
+
     def test_boundary_count(self):
         doc = variant(col=0, values=[10.0])
         with pytest.raises(DataError, match="boundary count must be class_count - 1"):
@@ -154,21 +159,33 @@ class TestParseDescription:
         assert make_descriptors(variant(col=0, values=["5", "1e1"]))[0].values == (5.0, 10.0)
 
     @pytest.mark.parametrize(
-        "kind, values, message",
+        "changes, message",
         [
-            ("continuous", ("10", "20"), "continuous column 'x': non-numeric boundary"),
-            ("continuous", (None, 20.0), "continuous column 'x': non-numeric boundary"),
-            ("continuous", (True, 20.0), "continuous column 'x': non-numeric boundary"),
-            ("continuous", (1, 10**400), "continuous column 'x': non-finite boundary"),
-            ("categorical", ("red", 1), "column 'x': labels must be valid Unicode text"),
-            ("target", (None, "b"), "column 'x': labels must be valid Unicode text"),
+            ({"values": ("10", "20")}, "continuous column 'x': non-numeric boundary"),
+            ({"values": (None, 20.0)}, "continuous column 'x': non-numeric boundary"),
+            ({"values": (True, 20.0)}, "continuous column 'x': non-numeric boundary"),
+            ({"values": (1, 10**400)}, "continuous column 'x': non-finite boundary"),
+            ({"kind": "categorical", "values": ("red", 1)}, "column 'x': bad 'values' value 1"),
+            ({"kind": "target", "values": (None, "b")}, "column 'x': bad 'values' value None"),
+            ({"class_count": "3"}, "column 'x': bad 'classes' value '3'"),
+            ({"class_count": 3.0}, "column 'x': bad 'classes' value 3.0"),
+            ({"class_count": True}, "column 'x': bad 'classes' value True"),
+            ({"name": 1}, "column 1: bad 'name' value 1"),
+            ({"kind": None}, "column 'x': bad 'kind' value None"),
+            ({"short_name": None}, "column 'x': bad 'short' value None"),
+            ({"full_name": 1}, "column 'x': bad 'full_name' value 1"),
         ],
-        ids=["text", "null", "true", "int-past-float-range", "int-label", "null-goal"],
+        ids=["text", "null", "true", "int-past-float-range", "int-label", "null-goal", "text-classes",
+             "float-classes", "true-classes", "int-name", "null-kind", "null-short", "int-full-name"],
     )
-    def test_descriptor_built_in_python(self, kind, values, message):
-        classes = len(values) + (kind == "continuous")
+    def test_descriptor_built_in_python(self, changes, message):
+        """A descriptor built in Python is judged as a parsed one is, with the
+        parser's message for the same fault, keyed by the description's key."""
+        fields = dict(name="x", kind="continuous", short_name="X", values=(10.0, 20.0), full_name="x")
+        fields.update(changes)
+        fields.setdefault("class_count", len(fields["values"]) + (fields["kind"] == "continuous"))
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            ColumnDescriptor("x", kind, "X", classes, values, "x")
+            ColumnDescriptor(**fields)
 
     def test_class_count_too_small(self):
         doc = variant(col=1, classes=1, values=["red"])
@@ -241,8 +258,10 @@ class TestParseDescription:
             (0, {"kind": None}, "column 'temp': bad 'kind' value None"),
             (1, {"full_name": ["a"]}, "column 'color': bad 'full_name' value ['a']"),
             (0, {"values": [True, 20.0]}, "continuous column 'temp': non-numeric boundary"),
+            (1, {"values": "red,blue"}, "column 'color': 'values' must be a list"),
         ],
-        ids=["label-null", "target-true", "label-object", "short", "name", "kind", "full_name", "boundary"],
+        ids=["label-null", "target-true", "label-object", "short", "name", "kind", "full_name", "boundary",
+             "values-not-a-list"],
     )
     def test_text_and_boundaries_are_not_stringified(self, col, changes, message):
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
@@ -266,6 +285,10 @@ class TestCatalog:
         assert catalog[1].full_name == "10 <= temp < 20"
         assert catalog[2].full_name == "temp >= 20"
         assert catalog[3].full_name == "color = red"
+
+    def test_no_columns(self):
+        with pytest.raises(DataError, match="^description must declare at least one column$"):
+            build_catalog([])
 
     def test_generic(self):
         catalog = generic_catalog(4)
@@ -909,7 +932,7 @@ class TestBlockReader:
     ):
         if numpy_absent:
             request.getfixturevalue("pure_scan")
-        monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_BLOCK_CHARS", block)
+        monkeypatch.setattr(goalrules.preprocess, "_BLOCK_CHARS", block)
         assert_reads_as_cells(*write_hostile(tmp_path_factory.mktemp("blocks"), data))
 
     @pytest.mark.parametrize("cell", HOSTILE_CELLS)
@@ -917,7 +940,7 @@ class TestBlockReader:
         # the cell in each column of one row of the first block, and in row
         # 300 of a later block, after blocks of the other path, with \n and
         # with lone \r line ends
-        monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_BLOCK_CHARS", 1_000)
+        monkeypatch.setattr(goalrules.preprocess, "_BLOCK_CHARS", 1_000)
         good = ["12.5,red,no"] * 400
         for end in ("\n", "\r"):
             for column in range(3):
@@ -931,7 +954,7 @@ class TestBlockReader:
     @pytest.mark.parametrize("line", EXTRA_LINES)
     def test_each_hostile_line(self, tmp_path, monkeypatch, line):
         # in the first block, before a bad row in a later one
-        monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_BLOCK_CHARS", 1_000)
+        monkeypatch.setattr(goalrules.preprocess, "_BLOCK_CHARS", 1_000)
         lines = ["12.5,red,no"] * 400
         lines[3] = line
         lines[299] = "12.5,green,no"
@@ -983,7 +1006,7 @@ class TestBlockReader:
         # a bad row 3 and a line over the field limit in another block: the
         # rows are read and encoded one at a time, so the one that comes
         # first in the file is named, however far the other is
-        monkeypatch.setattr(sys.modules["goalrules.preprocess"], "_BLOCK_CHARS", 64)
+        monkeypatch.setattr(goalrules.preprocess, "_BLOCK_CHARS", 64)
         lines = ["12.5,red,no\n"] * 400
         lines[2] = "12.5,green,no\n"
         lines[long_row - 1] = "x" * 131_073 + ",red,no\n"
